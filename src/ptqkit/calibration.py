@@ -2,20 +2,23 @@
 
 A calibration sample is the input activation of one layer at one
 timestep of one prompt's reverse chain, captured by replaying the chain
-from pure noise down to the sampled timestep.  Each replay runs a small
-batch of chains so the activation payload carries enough rows to pin
-down the layer's value range.  Replay is exact because every chain is
-keyed by (base stream, sample index).
+from pure noise down to the sampled timestep.  Each sample replays a
+small batch of chains so the activation payload carries enough rows to
+pin down the layer's value range.  All replays of a set run together in
+one batched reverse chain, and each sample's rows leave it on reaching
+the sample's timestep.  Replay is exact because every sample's chains
+are keyed by (base stream, sample index).
 """
 
 import hashlib
 import json
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import numeric_core as nc
-from .diffusion import LatentState, condition_embedding, denoise_step, model_hash
+from .diffusion import chain_noise, condition_embedding, model_hash, reverse_chains
 from .errors import DegenerateProfileError
 from .profiler import LayerVarianceProfile
 
@@ -48,13 +51,6 @@ class CalibrationSet:
     def activations_for_layer(self, layer: str) -> np.ndarray:
         vals = [s.activation.ravel() for s in self.samples if s.layer == layer]
         return np.concatenate(vals) if vals else np.empty(0)
-
-    def cell_counts(self) -> dict:
-        counts = {}
-        for s in self.samples:
-            key = (s.layer, s.timestep)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
 
 
 def draw_cells(profile: LayerVarianceProfile, K: int, rng: nc.RngStream,
@@ -93,49 +89,42 @@ def draw_cells(profile: LayerVarianceProfile, K: int, rng: nc.RngStream,
     return [cells[i] for i in idx], tau, halvings
 
 
-class _CellCapture:
-    """Tap that grabs the input of one (layer, timestep) cell."""
+def _capture(model, sched, conds: np.ndarray, timesteps, layers, rngs, batch: int = CAPTURE_BATCH):
+    """Replay all samples' chains together; return their activations and latents.
 
-    def __init__(self, layer: str, t: int):
-        self.layer = layer
-        self.t = t
-        self.value = None
+    Sample i drives ``batch`` rows with condition conds[i] from stream
+    rngs[i]; they leave the batch on reaching timesteps[i], and their state
+    there is the sample's latent.  One forward pass over all latents, each
+    row at its own timestep, then gives each sample the input of its layer.
+    """
+    order = np.argsort(timesteps, kind="stable")  # ascending stops keep running rows a prefix
+    stop = np.repeat(np.asarray(timesteps)[order], batch)
+    rows = np.repeat(conds[order], batch, axis=0)
+    noise = chain_noise([rngs[i] for i in order], sched.T, model.data_dim, rows=batch)
+    latents = reverse_chains(model, sched, rows, noise, stop=stop)
+    del noise  # freed before the snapshot pass, which is as wide as the first step
+    acts = [None] * len(order)
 
-    def offer(self, layer, t, values):
-        if layer == self.layer and t == self.t:
-            self.value = np.array(values, dtype=np.float64)
+    def offer(layer, t, h):
+        for j, i in enumerate(order):
+            if layers[i] == layer:
+                acts[i] = h[j * batch:(j + 1) * batch].copy()
 
-
-def _capture(model, sched, cond, cell, chain_rng: nc.RngStream, batch: int = CAPTURE_BATCH):
-    """Replay a batch of reverse chains from t=T down to the cell's timestep."""
-    layer, t_target = cell
-    tap = _CellCapture(layer, t_target)
-    state = LatentState(t=sched.T, value=nc.gaussian_sample(chain_rng, batch, model.data_dim))
-    latent_at_capture = None
-    while state.t >= t_target and state.t > 0:
-        if state.t == t_target:
-            latent_at_capture = state.value.copy()
-            state = denoise_step(model, state, cond, sched, chain_rng, tap=tap)
-            break
-        state = denoise_step(model, state, cond, sched, chain_rng, tap=None)
-    return tap.value, latent_at_capture
-
-
-def _prompt_conds(prompts, cond_dim: int):
-    return {p.prompt_id: condition_embedding(p.text, p.bits, cond_dim) for p in prompts.prompts}
+    model.forward(model.assemble_input(latents, stop, rows, sched.T), tap=SimpleNamespace(offer=offer))
+    return acts, [latents[j * batch:(j + 1) * batch] for j in np.argsort(order)]
 
 
 def _build_set(model, sched, prompts, cells, rng, strategy, K, profile_hash="", extra=None):
     if not prompts.prompts:
         raise ValueError("prompt set is empty")
-    conds = _prompt_conds(prompts, model.cond_embed_dim)
-    ids = [p.prompt_id for p in prompts.prompts]
-    samples = []
-    for i, cell in enumerate(cells):
-        pid = ids[i % len(ids)]  # round-robin so every prompt contributes
-        act, latent = _capture(model, sched, conds[pid], cell, rng.child(1000, i))
-        samples.append(CalibrationSample(prompt_id=pid, timestep=cell[1], layer=cell[0],
-                                         activation=act, latent=latent))
+    # round-robin over prompts so every prompt contributes
+    ps = [prompts.prompts[i % len(prompts.prompts)] for i in range(len(cells))]
+    conds = np.array([condition_embedding(p.text, p.bits, model.cond_embed_dim).vector for p in ps])
+    layers, timesteps = zip(*cells)
+    acts, latents = _capture(model, sched, conds, timesteps, layers,
+                             [rng.child(1000, i) for i in range(len(cells))])
+    samples = [CalibrationSample(prompt_id=p.prompt_id, timestep=t, layer=layer, activation=act,
+                                 latent=lat) for p, (layer, t), act, lat in zip(ps, cells, acts, latents)]
     return CalibrationSet(samples=samples, K=K, strategy=strategy,
                           seed_key=(rng.seed, rng.stream_id), profile_hash=profile_hash,
                           model_hash=model_hash(model, sched), extra=extra or {})

@@ -2,7 +2,8 @@
 
 Precedence: built-in defaults < config file < CLI flags.  The config
 hash is derived from the effective (post-override) content, so a record
-in the results file pins down exactly what produced it.
+in the results file pins down exactly what produced it.  ``jobs`` is left
+out of the hash: it changes how seeds are scheduled, never the results.
 """
 
 import dataclasses
@@ -54,7 +55,7 @@ class ExperimentConfig:
     compare_seeds: int = 10
     scale_counts: list = field(default_factory=lambda: [1, 2, 4, 8, 16, 32])
     scale_seeds: int = 3
-    jobs: int = 1
+    jobs: int = 1  # not hashed, see config_hash
 
     def resolved_checkpoint(self) -> str:
         return self.checkpoint or os.path.join(self.out_dir, "model.json")
@@ -66,7 +67,8 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        doc = {k: v for k, v in self.to_dict().items() if k != "jobs"}
+        blob = json.dumps(doc, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
 
@@ -101,10 +103,13 @@ def load_config(path=None, overrides: dict = None) -> ExperimentConfig:
 def validate_config(cfg: ExperimentConfig) -> None:
     from .quantizer import parse_policy_string
 
-    if cfg.k < 1:
-        raise ConfigError("k must be >= 1")
-    if cfg.timesteps < 2:
-        raise ConfigError("timesteps must be >= 2")
+    for name, low in (("k", 1), ("timesteps", 2), ("epochs", 1), ("time_embed_dim", 2)):
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    if cfg.time_embed_dim % 2:
+        # the sinusoidal embedding is sin/cos pairs, so the model input width needs it even
+        raise ConfigError(f"time_embed_dim must be even, got {cfg.time_embed_dim}")
     try:
         parse_policy_string(cfg.policy)
     except ValueError as exc:

@@ -8,6 +8,7 @@ prompt conditioning to work with at desk scale.
 """
 
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -123,16 +124,27 @@ def condition_embedding(text: str, coverage_bits, dim: int) -> ConditionEmbeddin
     return ConditionEmbedding(vector=v / norm)
 
 
-def time_embedding(t: int, dim: int, T: int) -> np.ndarray:
-    """Sinusoidal timestep embedding of even dimension ``dim``."""
+def time_embedding(t, dim: int, T: int) -> np.ndarray:
+    """Sinusoidal embedding of even dimension ``dim`` of a timestep or an array of them."""
     half = dim // 2
     freqs = np.exp(-math.log(1000.0) * np.arange(half) / max(half - 1, 1))
-    ang = (t / T) * freqs * 2.0 * np.pi
-    return np.concatenate([np.sin(ang), np.cos(ang)])
+    ang = (np.asarray(t)[..., None] / T) * freqs * 2.0 * np.pi
+    return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
+
+
+@functools.lru_cache(maxsize=8)
+def time_embedding_table(dim: int, T: int) -> np.ndarray:
+    """Read-only (T + 1, dim) table whose row t embeds timestep t."""
+    table = time_embedding(np.arange(T + 1), dim, T)
+    table.setflags(write=False)
+    return table
 
 
 def silu(z: np.ndarray) -> np.ndarray:
-    return z / (1.0 + np.exp(-z))
+    e = np.negative(z)  # one temporary, updated in place: batched chains hold wide arrays
+    np.exp(e, out=e)
+    e += 1.0
+    return np.divide(z, e, out=e)
 
 
 def silu_grad(z: np.ndarray) -> np.ndarray:
@@ -204,35 +216,27 @@ class DenoiserModel:
     def copy(self) -> "DenoiserModel":
         return copy.deepcopy(self)
 
-    def assemble_input(self, x: np.ndarray, t: int, cond: ConditionEmbedding, T: int) -> np.ndarray:
+    def assemble_input(self, x: np.ndarray, t, cond, T: int) -> np.ndarray:
+        """Rows [x | time embedding | condition]; ``t`` and ``cond`` are shared or per row."""
         x = nc.tensor2d(x)
-        te = time_embedding(t, self.time_embed_dim, T)
-        rows = [np.concatenate([row, te, cond.vector]) for row in x]
-        return np.vstack(rows)
+        te = time_embedding_table(self.time_embed_dim, T)[t]
+        c = cond.vector if isinstance(cond, ConditionEmbedding) else cond
+        return np.hstack([x, np.broadcast_to(te, (len(x), self.time_embed_dim)),
+                          np.broadcast_to(c, (len(x), self.cond_embed_dim))])
 
-    def forward(self, u: np.ndarray, tap=None, t: int = None) -> np.ndarray:
-        """Forward pass; each layer's *input* is offered to the tap."""
+    def forward(self, u: np.ndarray, tap=None, t: int = None, caches: list = None) -> np.ndarray:
+        """Forward pass; each layer's *input* is offered to the tap, and
+        (input, pre-activation) pairs are appended to ``caches`` if given."""
         h = u
         for lyr in self.layers:
             if tap is not None:
                 tap.offer(lyr.name, t, h)
-            z = h @ lyr.weight + lyr.bias
+            z = h @ lyr.weight
+            z += lyr.bias
+            if caches is not None:
+                caches.append((h, z))
             h = silu(z) if lyr.activation == "silu" else z
         return h
-
-    def forward_cached(self, u: np.ndarray):
-        """Forward pass keeping per-layer inputs and pre-activations."""
-        h = u
-        caches = []
-        for lyr in self.layers:
-            z = h @ lyr.weight + lyr.bias
-            caches.append((h, z))
-            h = silu(z) if lyr.activation == "silu" else z
-        return h, caches
-
-    def predict_eps(self, x: np.ndarray, t: int, cond: ConditionEmbedding, T: int, tap=None) -> np.ndarray:
-        u = self.assemble_input(x, t, cond, T)
-        return self.forward(u, tap=tap, t=t)
 
 
 def forward_diffuse(x0: np.ndarray, t: int, sched: NoiseSchedule, rng: nc.RngStream) -> LatentState:
@@ -245,12 +249,12 @@ def forward_diffuse(x0: np.ndarray, t: int, sched: NoiseSchedule, rng: nc.RngStr
     return LatentState(t=t, value=math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * eps)
 
 
-def denoise_step(model, state: LatentState, cond: ConditionEmbedding, sched: NoiseSchedule,
-                 rng: nc.RngStream, tap=None) -> LatentState:
-    """One ancestral reverse step; t == 1 is deterministic (no added noise).
+def denoise_step(model, state: LatentState, cond, sched: NoiseSchedule, noise,
+                 tap=None) -> LatentState:
+    """One ancestral reverse step of every row; t == 1 is deterministic (no added noise).
 
     Uses the posterior variance beta_tilde_t; the final state has t
-    decremented by one.
+    decremented by one.  ``noise`` is a stream to draw from or the noise itself.
     """
     t = state.t
     if t < 1:
@@ -261,12 +265,13 @@ def denoise_step(model, state: LatentState, cond: ConditionEmbedding, sched: Noi
     ab_prev = sched.alpha_bar[t - 2] if t > 1 else 1.0
     alpha_t = ab_t / ab_prev
     beta_t = 1.0 - alpha_t
-    eps_hat = model.predict_eps(state.value, t, cond, sched.T, tap=tap)
+    eps_hat = model.forward(model.assemble_input(state.value, t, cond, sched.T), tap=tap, t=t)
     mean = (state.value - beta_t / math.sqrt(1.0 - ab_t) * eps_hat) / math.sqrt(alpha_t)
     if t > 1:
         var = beta_t * (1.0 - ab_prev) / (1.0 - ab_t)
-        z = nc.gaussian_sample(rng, state.value.shape[0], state.value.shape[1])
-        x_prev = mean + math.sqrt(var) * z
+        if isinstance(noise, nc.RngStream):
+            noise = nc.gaussian_sample(noise, *state.value.shape)
+        x_prev = mean + math.sqrt(var) * noise
     else:
         x_prev = mean
     return LatentState(t=t - 1, value=x_prev)
@@ -287,8 +292,8 @@ class TrainResult:
 
 def _loss_and_grads(model: DenoiserModel, u: np.ndarray, eps: np.ndarray):
     """MSE epsilon-prediction loss and gradients for every weight/bias."""
-    pred, caches = model.forward_cached(u)
-    diff = pred - eps
+    caches = []
+    diff = model.forward(u, caches=caches) - eps
     loss = float(np.mean(diff**2))
     g = 2.0 * diff / diff.size
     grads = []
@@ -305,21 +310,15 @@ def _loss_and_grads(model: DenoiserModel, u: np.ndarray, eps: np.ndarray):
 
 def training_loss(model: DenoiserModel, u: np.ndarray, eps: np.ndarray) -> float:
     """Loss only; used by the finite-difference gradient oracle."""
-    pred, _ = model.forward_cached(u)
-    return float(np.mean((pred - eps) ** 2))
+    return float(np.mean((model.forward(u) - eps) ** 2))
 
 
-def training_batch(model: DenoiserModel, x0: np.ndarray, conds, sched: NoiseSchedule,
+def training_batch(model: DenoiserModel, x0: np.ndarray, conds: np.ndarray, sched: NoiseSchedule,
                    ts: np.ndarray, eps: np.ndarray):
-    """Assemble (u, eps) for a fixed draw of timesteps and noise."""
-    rows = []
-    for i in range(x0.shape[0]):
-        t = int(ts[i])
-        ab = sched.alpha_bar[t - 1]
-        xt = math.sqrt(ab) * x0[i] + math.sqrt(1.0 - ab) * eps[i]
-        te = time_embedding(t, model.time_embed_dim, sched.T)
-        rows.append(np.concatenate([xt, te, conds[i].vector]))
-    return np.vstack(rows), eps
+    """Assemble (u, eps) for a fixed draw of timesteps and noise; ``conds`` has one row per sample."""
+    ab = sched.alpha_bar[ts - 1][:, None]
+    xt = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+    return model.assemble_input(xt, ts, conds, sched.T), eps
 
 
 def train(model: DenoiserModel, dataset: np.ndarray, conds, sched: NoiseSchedule,
@@ -332,6 +331,7 @@ def train(model: DenoiserModel, dataset: np.ndarray, conds, sched: NoiseSchedule
     if len(conds) != n:
         raise ValueError("one condition embedding per dataset row is required")
     model = model.copy()
+    cond_rows = np.array([c.vector for c in conds])
     losses = []
     for epoch in range(hyper.epochs):
         erng = rng.child(epoch)
@@ -341,11 +341,10 @@ def train(model: DenoiserModel, dataset: np.ndarray, conds, sched: NoiseSchedule
         for start in range(0, n - hyper.batch_size + 1, hyper.batch_size):
             idx = order[start : start + hyper.batch_size]
             x0 = dataset[idx]
-            bconds = [conds[i] for i in idx]
             brng = erng.child(start)
             ts = brng.integers(1, sched.T + 1, size=len(idx))
             eps = brng.standard_normal(x0.size).reshape(x0.shape)
-            u, eps = training_batch(model, x0, bconds, sched, ts, eps)
+            u, eps = training_batch(model, x0, cond_rows[idx], sched, ts, eps)
             loss, grads = _loss_and_grads(model, u, eps)
             if not math.isfinite(loss):
                 raise TrainingDivergenceError(epoch, loss)
@@ -358,24 +357,52 @@ def train(model: DenoiserModel, dataset: np.ndarray, conds, sched: NoiseSchedule
     return TrainResult(model=model, losses=losses)
 
 
+def chain_noise(rngs, T: int, data_dim: int, rows: int = 1) -> np.ndarray:
+    """(T, len(rngs) * rows, data_dim) noise for :func:`reverse_chains`: stream j's T
+    blocks, for its ``rows`` rows, are its T sequential gaussian_sample draws."""
+    noise = np.empty((T, len(rngs) * rows, data_dim))
+    for j, rng in enumerate(rngs):
+        blocks = rng.standard_normal_blocks(T, rows * data_dim)
+        noise[:, j * rows:(j + 1) * rows] = blocks.reshape(T, rows, data_dim)
+    return noise
+
+
+def reverse_chains(model, sched: NoiseSchedule, conds: np.ndarray, noise: np.ndarray,
+                   tap=None, stop=None) -> np.ndarray:
+    """Step a batch of reverse chains together from t = T; return each row's final state.
+
+    Row i has condition conds[i], starts at x_T = noise[0, i], and the step at
+    t > 1 adds noise[T - t + 1, i].  It stops on reaching t = stop[i] (default
+    0); ``stop`` is ascending, so running rows are a prefix of the batch.  The
+    tap sees one offer of all running rows per (layer, t).
+    """
+    T = sched.T
+    x = noise[0]
+    out = np.empty_like(x)
+    stop = np.zeros(len(x), dtype=np.int64) if stop is None else np.asarray(stop)
+    for t in range(T, 0, -1):
+        n = int(np.searchsorted(stop, t))  # rows with stop < t take this step
+        out[n:len(x)] = x[n:]
+        if n == 0:
+            return out
+        z = noise[T - t + 1, :n] if t > 1 else None
+        x = denoise_step(model, LatentState(t=t, value=x[:n]), conds[:n], sched, z, tap=tap).value
+    out[:len(x)] = x
+    return out
+
+
 def generate(model, cond: ConditionEmbedding, sched: NoiseSchedule, n: int,
              rng: nc.RngStream, tap=None) -> np.ndarray:
-    """Run n independent T-step reverse chains from pure noise.
+    """Run n independent T-step reverse chains from pure noise, as one batch.
 
-    Chains are run one at a time with per-chain child streams, so the
-    output is a pure function of (model, cond, sched, n, rng key) and the
-    tap sees exactly n * T * L offers.
+    Chain i draws from its own child stream rng.child(i), so the output is a
+    pure function of (model, cond, sched, n, rng key); the tap sees T * L
+    offers of n rows each.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    out = np.empty((n, model.data_dim))
-    for i in range(n):
-        crng = rng.child(i)
-        state = LatentState(t=sched.T, value=nc.gaussian_sample(crng, 1, model.data_dim))
-        while state.t > 0:
-            state = denoise_step(model, state, cond, sched, crng, tap=tap)
-        out[i] = state.value[0]
-    return out
+    noise = chain_noise([rng.child(i) for i in range(n)], sched.T, model.data_dim)
+    return reverse_chains(model, sched, np.tile(cond.vector, (n, 1)), noise, tap=tap)
 
 
 def make_mixture_dataset(conds, n_per_cond: int, rng: nc.RngStream, data_dim: int = 2,

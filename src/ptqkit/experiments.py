@@ -72,6 +72,15 @@ def _conds_for(prompts: cov.PromptSet, cond_dim: int):
     return [dif.condition_embedding(p.text, p.bits, cond_dim) for p in prompts.prompts]
 
 
+def _chain_rows(prompts: cov.PromptSet, cond_dim: int, per: int, rng: nc.RngStream, T: int,
+                data_dim: int):
+    """Condition rows and noise of ``per`` chains per prompt; chain c of prompt i uses
+    rng.child(i, c), the stream ``generate(..., rng.child(i))`` gives it."""
+    conds = np.array([c.vector for c in _conds_for(prompts, cond_dim)]).reshape(-1, cond_dim)
+    rngs = [rng.child(i, c) for i in range(len(conds)) for c in range(per)]
+    return np.repeat(conds, per, axis=0), dif.chain_noise(rngs, T, data_dim)
+
+
 def make_schedule(cfg: ExperimentConfig) -> dif.NoiseSchedule:
     if cfg.schedule == "linear_beta":
         return dif.NoiseSchedule.linear_beta(cfg.timesteps)
@@ -197,10 +206,9 @@ def cmd_prompts(cfg: ExperimentConfig) -> dict:
 def _profile_for(model, sched, prompts, cfg: ExperimentConfig, seed: int):
     tap = prof.ActivationTap(model.layer_names, reservoir_size=cfg.reservoir_size,
                              rng=nc.RngStream(seed, 40))
-    rng = nc.RngStream(seed, 41)
-    for i, p in enumerate(prompts.prompts):
-        c = dif.condition_embedding(p.text, p.bits, cfg.cond_embed_dim)
-        dif.generate(model, c, sched, cfg.n_profile_chains, rng.child(i), tap=tap)
+    conds, noise = _chain_rows(prompts, cfg.cond_embed_dim, cfg.n_profile_chains,
+                               nc.RngStream(seed, 41), sched.T, model.data_dim)
+    dif.reverse_chains(model, sched, conds, noise, tap=tap)
     return prof.build_profile(tap, tau_fraction=cfg.tau_fraction)
 
 
@@ -285,16 +293,12 @@ def cmd_quantize(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 def evaluate_pair(model, qmodel, sched, prompts, cond_dim: int, n_eval: int, seed: int):
-    """Paired generation (same chain seeds) -> FD, KL, and output MSE."""
+    """Paired generation (same chain noise, one batch per model) -> FD, KL, and output MSE."""
     per = max(n_eval // len(prompts.prompts), 1)
-    full_rows, quant_rows = [], []
-    rng = nc.RngStream(seed, 60)
-    for i, p in enumerate(prompts.prompts):
-        c = dif.condition_embedding(p.text, p.bits, cond_dim)
-        full_rows.append(dif.generate(model, c, sched, per, rng.child(i)))
-        quant_rows.append(dif.generate(qmodel, c, sched, per, rng.child(i)))
-    full = np.vstack(full_rows)
-    quant = np.vstack(quant_rows)
+    conds, noise = _chain_rows(prompts, cond_dim, per, nc.RngStream(seed, 60), sched.T,
+                               model.data_dim)
+    full = dif.reverse_chains(model, sched, conds, noise)
+    quant = full if qmodel is model else dif.reverse_chains(qmodel, sched, conds, noise)
     fa, fb = met.fit_gaussian(full), met.fit_gaussian(quant)
     return {
         "fd": met.frechet_distance(fa, fb),

@@ -62,15 +62,20 @@ class RngStream:
 
     def standard_normal(self, n: int) -> np.ndarray:
         """n standard normal draws via Box-Muller."""
-        n = int(n)
-        if n == 0:
-            return np.empty(0)
-        m = (n + 1) // 2
-        u1 = 1.0 - self._gen.random(m)  # (0, 1], keeps log finite
-        u2 = self._gen.random(m)
-        r = np.sqrt(-2.0 * np.log(u1))
-        z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])
-        return z[:n]
+        return self.standard_normal_blocks(1, n)[0]
+
+    def standard_normal_blocks(self, n: int, k: int) -> np.ndarray:
+        """(n, k) array whose row i equals the i-th of n sequential standard_normal(k) calls.
+
+        One call draws the uniforms of all n blocks; block i uses its own
+        ceil(k/2) pairs, exactly as the i-th sequential call would.
+        """
+        n, k = int(n), int(k)
+        m = (k + 1) // 2
+        u = self._gen.random(n * 2 * m).reshape(n, 2, m)
+        r = np.sqrt(-2.0 * np.log(1.0 - u[:, 0]))  # 1 - u in (0, 1] keeps log finite
+        ang = 2.0 * np.pi * u[:, 1]
+        return np.concatenate([r * np.cos(ang), r * np.sin(ang)], axis=1)[:, :k]
 
     def integers(self, low: int, high: int, size: int = 1) -> np.ndarray:
         """Uniform integers in [low, high)."""

@@ -1,13 +1,13 @@
 """Streaming per-(layer, timestep) activation statistics and variance profiles.
 
-The tap is handed to generation; every monitored layer input at every
-timestep updates a Welford-style accumulator (exact) and a bounded
-reservoir of raw values (approximate, for distribution comparisons).
+The tap is handed to the batched reverse-chain engine; every monitored
+layer input at every timestep (all running chains' rows in one offer)
+updates a Welford-style accumulator (exact) and a bounded reservoir of
+raw values (approximate, for distribution comparisons).
 Cells are keyed by (layer, timestep) so the profile can express both
 "which layer" and "which timestep" carries the variance.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,13 +46,10 @@ class _CellStats:
         size = self.reservoir.size
         if size == 0:
             return
-        i = 0
         n = values.size
-        # fill phase
-        while self._filled < size and i < n:
-            self.reservoir[self._filled] = values.flat[i]
-            self._filled += 1
-            i += 1
+        i = min(size - self._filled, n)  # fill phase
+        self.reservoir[self._filled:self._filled + i] = values.ravel()[:i]
+        self._filled += i
         if i >= n:
             return
         # algorithm R, vectorized draw of the replacement slots
@@ -88,8 +85,6 @@ class ActivationTap:
 
     def offer(self, layer: str, t: int, values: np.ndarray) -> None:
         self.offer_count += 1
-        if layer not in self.monitored_layers:
-            return
         self.record(layer, t, values)
 
     def record(self, layer: str, t: int, values) -> None:
@@ -228,36 +223,3 @@ def load_profile(path) -> LayerVarianceProfile:
             counts[key] = int(count)
             means[key] = float(mean)
     return profile_from_variances(variances, tau_fraction, counts=counts, means=means)
-
-
-def _gauss_sym_kl(m1, v1, m2, v2, eps=1e-12) -> float:
-    v1 = max(v1, eps)
-    v2 = max(v2, eps)
-    kl12 = math.log(math.sqrt(v2 / v1)) + (v1 + (m1 - m2) ** 2) / (2.0 * v2) - 0.5
-    kl21 = math.log(math.sqrt(v1 / v2)) + (v2 + (m2 - m1) ** 2) / (2.0 * v1) - 0.5
-    return kl12 + kl21
-
-
-def activation_divergence(profile_a: LayerVarianceProfile, profile_b: LayerVarianceProfile) -> dict:
-    """Per-cell variance gaps plus symmetric KL of Gaussian reservoir fits.
-
-    Both profiles must cover identical cells and carry reservoir samples
-    (profiles parsed back from disk do not).
-    """
-    if profile_a.cells != profile_b.cells:
-        raise ValueError("profiles cover different cells")
-    report = {}
-    for c in profile_a.cells:
-        va, vb = profile_a.variances[c], profile_b.variances[c]
-        abs_gap = abs(va - vb)
-        rel_gap = abs_gap / max(va, vb, 1e-12)
-        ra = profile_a.reservoirs.get(c)
-        rb = profile_b.reservoirs.get(c)
-        if ra is not None and rb is not None and ra.size >= 2 and rb.size >= 2:
-            ma, va_r = nc.mean_and_variance(ra)
-            mb, vb_r = nc.mean_and_variance(rb)
-            sym_kl = _gauss_sym_kl(ma, va_r, mb, vb_r)
-        else:
-            sym_kl = _gauss_sym_kl(profile_a.means[c], va, profile_b.means[c], vb)
-        report[c] = {"abs_variance_gap": abs_gap, "rel_variance_gap": rel_gap, "sym_kl": sym_kl}
-    return report

@@ -8,7 +8,6 @@ once and for activations at each layer boundary.
 Rounding is half-away-from-zero, frozen for cross-platform determinism.
 """
 
-import hashlib
 import json
 import re
 from dataclasses import dataclass
@@ -242,10 +241,6 @@ class QuantizedModel:
             h = z / (1.0 + np.exp(-z)) if lyr.activation == "silu" else z
         return h
 
-    def predict_eps(self, x, t, cond, T, tap=None):
-        u = self.assemble_input(x, t, cond, T)
-        return self.forward(u, tap=tap, t=t)
-
 
 def quantize_model(model: DenoiserModel, policy: PrecisionPolicy, calib=None,
                    method: str = "minmax", percentile: float = None) -> QuantizedModel:
@@ -350,8 +345,3 @@ def load_quantized_checkpoint(path):
     }
     return QuantizedModel(model, policy, wp, ap), sched
 
-
-def quantized_model_hash(qmodel: QuantizedModel, sched) -> str:
-    doc = checkpoint_document(qmodel._model, sched)
-    doc["policy"] = qmodel.policy.notation
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()

@@ -76,6 +76,14 @@ class TestConfigLoading:
         assert a.config_hash() != b.config_hash()
         assert a.config_hash() == ExperimentConfig(seed=0).config_hash()
 
+    def test_jobs_does_not_change_config_hash_or_run_id(self, tmp_path, capsys):
+        assert ExperimentConfig(jobs=1).config_hash() == ExperimentConfig(jobs=4).config_hash()
+        cfgfile = _write_config(tmp_path, jobs=1)  # the key stays loadable
+        assert cli.main(["prompts", "--config", cfgfile]) == cli.EXIT_OK
+        one = json.loads(capsys.readouterr().out.strip())
+        assert cli.main(["prompts", "--config", cfgfile, "--jobs", "2"]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out.strip()) == one
+
 
 class TestExitCodes:
     def test_success_is_zero(self, tmp_path):
@@ -131,6 +139,19 @@ class TestExitCodes:
 
     def test_report_without_results_is_config_error(self, tmp_path):
         assert cli.main(["report", str(tmp_path)]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("bad, field", [
+        ({"time_embed_dim": 7}, "time_embed_dim must be even"),
+        ({"k": "abc"}, "k must be an integer"),
+        ({"k": 2.5}, "k must be an integer"),
+        ({"epochs": 0}, "epochs must be an integer >= 1"),
+    ])
+    def test_bad_field_values_are_config_errors(self, tmp_path, capsys, bad, field):
+        cfgfile = _write_config(tmp_path, **bad)
+        assert cli.main(["train", "--config", cfgfile]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err
+        assert not (tmp_path / "run").exists()  # rejected before any work
 
 
 class TestCliBehavior:

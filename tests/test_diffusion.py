@@ -158,21 +158,24 @@ class TestGenerate:
         b = dif.generate(model, _cond(), sched, 4, nc.RngStream(9))
         assert np.array_equal(a, b)
 
-    def test_tap_offer_count_is_chains_times_T_times_L(self, trained, prompt_set):
+    def test_tap_rows_per_layer_and_timestep_equal_chains(self, trained, prompt_set):
+        # every (layer, t) cell is offered once, with one row per chain
         model, sched = trained
 
         class Tap:
-            hits = 0
+            def __init__(self):
+                self.rows = {}
 
             def offer(self, layer, t, values):
-                self.hits += 1
+                self.rows[(layer, t)] = self.rows.get((layer, t), 0) + values.shape[0]
 
         tap = Tap()
         n = 3
         p = prompt_set.prompts[0]
         c = dif.condition_embedding(p.text, p.bits, model.cond_embed_dim)
         dif.generate(model, c, sched, n, nc.RngStream(1), tap=tap)
-        assert tap.hits == n * sched.T * len(model.layers)
+        assert tap.rows == {(name, t): n for name in model.layer_names
+                            for t in range(1, sched.T + 1)}
 
     def test_trained_model_hits_mixture_modes(self, trained, prompt_set, pipeline_cfg):
         # >= 95% of 1000 generated points within 3 sigma of a mixture mode

@@ -1,0 +1,147 @@
+"""The batched reverse-chain engine against a one-chain-at-a-time reference.
+
+The reference below steps each chain alone with ``denoise_step``, drawing
+every step's noise from the chain's own stream, and captures calibration
+samples by replaying each sample's chains separately.  The engine must
+reproduce it to within 1e-12; only BLAS summation order may differ.
+"""
+
+import numpy as np
+import pytest
+
+from ptqkit import calibration as cal
+from ptqkit import diffusion as dif
+from ptqkit import experiments as exp
+from ptqkit import metrics as met
+from ptqkit import numeric_core as nc
+from ptqkit import profiler as prof
+from ptqkit import quantizer as qz
+
+TOL = 1e-12
+
+
+def reference_generate(model, cond, sched, n, rng, tap=None):
+    out = np.empty((n, model.data_dim))
+    for i in range(n):
+        crng = rng.child(i)
+        state = dif.LatentState(t=sched.T, value=nc.gaussian_sample(crng, 1, model.data_dim))
+        while state.t > 0:
+            state = dif.denoise_step(model, state, cond, sched, crng, tap=tap)
+        out[i] = state.value[0]
+    return out
+
+
+def reference_evaluate_pair(model, qmodel, sched, prompts, cond_dim, n_eval, seed):
+    per = max(n_eval // len(prompts.prompts), 1)
+    rng = nc.RngStream(seed, 60)
+    full, quant = [], []
+    for i, p in enumerate(prompts.prompts):
+        c = dif.condition_embedding(p.text, p.bits, cond_dim)
+        full.append(reference_generate(model, c, sched, per, rng.child(i)))
+        quant.append(reference_generate(qmodel, c, sched, per, rng.child(i)))
+    full, quant = np.vstack(full), np.vstack(quant)
+    fa, fb = met.fit_gaussian(full), met.fit_gaussian(quant)
+    return {"fd": met.frechet_distance(fa, fb), "kl": met.kl_gaussian(fb, fa),
+            "mse": float(np.mean((full - quant) ** 2))}
+
+
+class _CellCapture:
+    def __init__(self, layer, t):
+        self.layer, self.t, self.value = layer, t, None
+
+    def offer(self, layer, t, values):
+        if layer == self.layer and t == self.t:
+            self.value = np.array(values)
+
+
+def reference_capture(model, sched, cond, cell, chain_rng, batch=cal.CAPTURE_BATCH):
+    """Replay one sample's chains from t=T and grab its cell on the way down."""
+    layer, t_target = cell
+    tap = _CellCapture(layer, t_target)
+    state = dif.LatentState(t=sched.T, value=nc.gaussian_sample(chain_rng, batch, model.data_dim))
+    while state.t > t_target:
+        state = dif.denoise_step(model, state, cond, sched, chain_rng)
+    latent = state.value.copy()
+    dif.denoise_step(model, state, cond, sched, chain_rng, tap=tap)
+    return tap.value, latent
+
+
+def _close(a, b):
+    return abs(a - b) <= TOL * max(1.0, abs(a))
+
+
+def test_generate_matches_reference(trained, prompt_set):
+    model, sched = trained
+    for i, p in enumerate(prompt_set.prompts[:3]):
+        c = dif.condition_embedding(p.text, p.bits, model.cond_embed_dim)
+        got = dif.generate(model, c, sched, 5, nc.RngStream(8).child(i))
+        want = reference_generate(model, c, sched, 5, nc.RngStream(8).child(i))
+        assert np.max(np.abs(got - want)) <= TOL
+
+
+def test_evaluate_pair_matches_reference_with_fake_quant(pipeline_cfg, trained, prompt_set,
+                                                         calibset):
+    model, sched = trained
+    qmodel = qz.quantize_model(model, qz.PrecisionPolicy.uniform(model.layer_names, "8W8A"),
+                               calibset, method="percentile", percentile=99.9)
+    got = exp.evaluate_pair(model, qmodel, sched, prompt_set, pipeline_cfg.cond_embed_dim, 32, 4)
+    want = reference_evaluate_pair(model, qmodel, sched, prompt_set,
+                                   pipeline_cfg.cond_embed_dim, 32, 4)
+    assert got["fd"] > 0.0
+    for key in ("fd", "kl", "mse"):
+        assert _close(got[key], want[key]), (key, got[key], want[key])
+
+
+def test_profile_matches_reference(pipeline_cfg, trained, prompt_set):
+    model, sched = trained
+    cfg = pipeline_cfg
+    got = exp._profile_for(model, sched, prompt_set, cfg, 3)
+    tap = prof.ActivationTap(model.layer_names, reservoir_size=cfg.reservoir_size)
+    rng = nc.RngStream(3, 41)
+    for i, p in enumerate(prompt_set.prompts):
+        c = dif.condition_embedding(p.text, p.bits, cfg.cond_embed_dim)
+        reference_generate(model, c, sched, cfg.n_profile_chains, rng.child(i), tap=tap)
+    want = prof.build_profile(tap, tau_fraction=cfg.tau_fraction)
+    assert got.cells == want.cells and got.counts == want.counts
+    for c in got.cells:
+        assert abs(got.means[c] - want.means[c]) <= TOL
+        assert abs(got.variances[c] - want.variances[c]) <= TOL * max(1.0, want.variances[c])
+
+
+@pytest.mark.parametrize("strategy", cal.STRATEGIES)
+def test_capture_matches_reference(pipeline_cfg, trained, prompt_set, variance_profile, strategy):
+    model, sched = trained
+    rng = nc.RngStream(12, 50)
+    cs = exp._build_calibset(pipeline_cfg, model, sched, prompt_set, strategy, 12,
+                             profile=variance_profile)
+    conds = {p.prompt_id: dif.condition_embedding(p.text, p.bits, model.cond_embed_dim)
+             for p in prompt_set.prompts}
+    assert len(cs.samples) == pipeline_cfg.k
+    for i, s in enumerate(cs.samples[:40]):
+        act, latent = reference_capture(model, sched, conds[s.prompt_id], (s.layer, s.timestep),
+                                        rng.child(1000, i))
+        assert s.activation.shape == act.shape and s.latent.shape == latent.shape
+        assert np.max(np.abs(s.activation - act)) <= TOL
+        assert np.max(np.abs(s.latent - latent)) <= TOL
+
+
+def test_rows_leave_the_batch_at_their_stop(trained, prompt_set):
+    model, sched = trained
+    p = prompt_set.prompts[0]
+    c = dif.condition_embedding(p.text, p.bits, model.cond_embed_dim).vector
+    stop = np.array([0, 0, 7, 30, sched.T])
+    rngs = [nc.RngStream(5).child(i) for i in range(len(stop))]
+    noise = dif.chain_noise(rngs, sched.T, model.data_dim)
+    seen = {}
+
+    class Tap:
+        def offer(self, layer, t, values):
+            if layer == model.layer_names[0]:
+                seen[t] = values.shape[0]
+
+    out = dif.reverse_chains(model, sched, np.tile(c, (len(stop), 1)), noise, tap=Tap(),
+                             stop=stop)
+    assert seen == {t: int(np.sum(stop < t)) for t in range(1, sched.T + 1)}
+    assert np.array_equal(out[-1], noise[0, -1])  # stop = T: never stepped
+    full = dif.reverse_chains(model, sched, np.tile(c, (len(stop), 1)), noise)
+    assert np.max(np.abs(out[:2] - full[:2])) <= TOL

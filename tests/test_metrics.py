@@ -9,10 +9,12 @@ from ptqkit import metrics as met
 from ptqkit import numeric_core as nc
 
 
-def power_method_eigh(a: np.ndarray, iters: int = 20_000):
+def power_method_eigh(a: np.ndarray, iters: int = 20_000, tol: float = 1e-15):
     """Independent eigensolver oracle: power iteration with deflation.
 
-    Deliberately shares no code with the package's Jacobi solver.
+    Deliberately shares no code with the package's Jacobi solver.  Each
+    eigenvector iterates until no entry moves by more than ``tol`` in one
+    step, or for ``iters`` steps at most.
     """
     a = np.array(a, dtype=np.float64)
     d = a.shape[0]
@@ -32,7 +34,11 @@ def power_method_eigh(a: np.ndarray, iters: int = 20_000):
             n = np.linalg.norm(w)
             if n == 0.0:
                 break
-            v = w / n
+            w /= n
+            converged = np.max(np.abs(w - v)) <= tol
+            v = w
+            if converged:
+                break
         lam = float(v @ work @ v)
         vals.append(lam - shift)
         vecs.append(v)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptqkit import numeric_core as nc
 from ptqkit.errors import ShapeError
@@ -95,6 +97,26 @@ class TestRngStream:
     def test_permutation_is_a_permutation(self):
         perm = nc.RngStream(1).permutation(100)
         assert sorted(perm.tolist()) == list(range(100))
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(0, 40), k=st.integers(0, 17), seed=st.integers(0, 2**32 - 1))
+    def test_blocks_equal_sequential_standard_normal_calls(self, n, k, seed):
+        stream = nc.RngStream(seed, 4)
+        blocks = stream.standard_normal_blocks(n, k)
+        seq = nc.RngStream(seed, 4)
+        # the frozen per-call Box-Muller draw over the documented PCG64 key
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 4])))
+        assert blocks.shape == (n, k)
+        for row in blocks:
+            assert np.array_equal(row, seq.standard_normal(k))
+            m = (k + 1) // 2
+            r = np.sqrt(-2.0 * np.log(1.0 - gen.random(m)))
+            u2 = gen.random(m)
+            assert np.array_equal(row, np.concatenate([r * np.cos(2.0 * np.pi * u2),
+                                                       r * np.sin(2.0 * np.pi * u2)])[:k])
+        # all three end at the same stream position
+        tail = gen.random(3)
+        assert np.array_equal(stream.uniform(3), tail) and np.array_equal(seq.uniform(3), tail)
 
 
 class TestGaussianSample:
