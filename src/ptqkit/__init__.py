@@ -14,4 +14,4 @@ Subpackages:
 
 __version__ = "0.1.0"
 
-from .numeric_core import RngStream, gaussian_sample, matmul, mean_and_variance, tensor2d  # noqa: F401
+from .numeric_core import RngStream, gaussian_sample, mean_and_variance, tensor2d  # noqa: F401

@@ -35,7 +35,6 @@ class CalibrationSample:
     timestep: int
     layer: str
     activation: np.ndarray  # layer-input snapshot, (batch, n_in)
-    latent: np.ndarray  # diffusion state at capture time, (batch, data_dim)
 
 
 @dataclass
@@ -90,12 +89,12 @@ def draw_cells(profile: LayerVarianceProfile, K: int, rng: nc.RngStream,
 
 
 def _capture(model, sched, conds: np.ndarray, timesteps, layers, rngs, batch: int = CAPTURE_BATCH):
-    """Replay all samples' chains together; return their activations and latents.
+    """Replay all samples' chains together; return each sample's activation.
 
     Sample i drives ``batch`` rows with condition conds[i] from stream
-    rngs[i]; they leave the batch on reaching timesteps[i], and their state
-    there is the sample's latent.  One forward pass over all latents, each
-    row at its own timestep, then gives each sample the input of its layer.
+    rngs[i]; they leave the batch on reaching timesteps[i].  One forward
+    pass over those states, each row at its own timestep, then gives each
+    sample the input of its layer.
     """
     order = np.argsort(timesteps, kind="stable")  # ascending stops keep running rows a prefix
     stop = np.repeat(np.asarray(timesteps)[order], batch)
@@ -111,7 +110,7 @@ def _capture(model, sched, conds: np.ndarray, timesteps, layers, rngs, batch: in
                 acts[i] = h[j * batch:(j + 1) * batch].copy()
 
     model.forward(model.assemble_input(latents, stop, rows, sched.T), tap=SimpleNamespace(offer=offer))
-    return acts, [latents[j * batch:(j + 1) * batch] for j in np.argsort(order)]
+    return acts
 
 
 def _build_set(model, sched, prompts, cells, rng, strategy, K, profile_hash="", extra=None):
@@ -121,10 +120,10 @@ def _build_set(model, sched, prompts, cells, rng, strategy, K, profile_hash="", 
     ps = [prompts.prompts[i % len(prompts.prompts)] for i in range(len(cells))]
     conds = np.array([condition_embedding(p.text, p.bits, model.cond_embed_dim).vector for p in ps])
     layers, timesteps = zip(*cells)
-    acts, latents = _capture(model, sched, conds, timesteps, layers,
-                             [rng.child(1000, i) for i in range(len(cells))])
-    samples = [CalibrationSample(prompt_id=p.prompt_id, timestep=t, layer=layer, activation=act,
-                                 latent=lat) for p, (layer, t), act, lat in zip(ps, cells, acts, latents)]
+    acts = _capture(model, sched, conds, timesteps, layers,
+                    [rng.child(1000, i) for i in range(len(cells))])
+    samples = [CalibrationSample(prompt_id=p.prompt_id, timestep=t, layer=layer, activation=act)
+               for p, (layer, t), act in zip(ps, cells, acts)]
     return CalibrationSet(samples=samples, K=K, strategy=strategy,
                           seed_key=(rng.seed, rng.stream_id), profile_hash=profile_hash,
                           model_hash=model_hash(model, sched), extra=extra or {})
@@ -183,7 +182,6 @@ def save_calibration_set(cs: CalibrationSet, path) -> None:
                 "layer": s.layer,
                 "timestep": s.timestep,
                 "activation": s.activation.tolist(),
-                "latent": s.latent.tolist(),
             }
             for s in cs.samples
         ],
@@ -204,9 +202,8 @@ def load_calibration_set(path) -> CalibrationSet:
             layer=d["layer"],
             timestep=d["timestep"],
             activation=np.array(d["activation"]),
-            latent=np.array(d["latent"]),
         )
-        for d in doc["samples"]
+        for d in doc["samples"]  # a "latent" key written by older versions is ignored
     ]
     return CalibrationSet(samples=samples, K=doc["K"], strategy=doc["strategy"],
                           seed_key=tuple(doc["seed_key"]), profile_hash=doc["profile_hash"],
@@ -219,7 +216,7 @@ def calibration_set_hash(cs: CalibrationSet) -> str:
             "strategy": cs.strategy,
             "K": cs.K,
             "samples": [
-                [s.prompt_id, s.layer, s.timestep, s.activation.tolist(), s.latent.tolist()]
+                [s.prompt_id, s.layer, s.timestep, s.activation.tolist()]
                 for s in cs.samples
             ],
         },

@@ -196,17 +196,6 @@ class MockCaptionGenerator(CaptionGenerator):
         return f"a recording of {phrase}"
 
 
-class AdversarialCaptionGenerator(CaptionGenerator):
-    """Never covers anything; used to exercise the iteration cap."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def generate(self, aspect, context_texts):
-        self.calls += 1
-        return "an unrelated clip of nothing in particular"
-
-
 class HttpCaptionGenerator(CaptionGenerator):
     """Optional HTTP backend; never used unless explicitly constructed.
 

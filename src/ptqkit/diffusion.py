@@ -154,12 +154,13 @@ def silu_grad(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AffineLayer:
-    """One dense layer: out = act(in @ weight + bias)."""
+    """One dense layer: out = act(q(in) @ weight + bias), q the optional input quantizer."""
 
     name: str
     weight: np.ndarray  # (n_in, n_out)
     bias: np.ndarray  # (n_out,)
     activation: str = "silu"  # "silu" | "none"
+    quantizer: object = None  # callable array -> array (fake-quant of the input), or None
 
     def __post_init__(self):
         self.weight = nc.tensor2d(self.weight)
@@ -225,10 +226,12 @@ class DenoiserModel:
                           np.broadcast_to(c, (len(x), self.cond_embed_dim))])
 
     def forward(self, u: np.ndarray, tap=None, t: int = None, caches: list = None) -> np.ndarray:
-        """Forward pass; each layer's *input* is offered to the tap, and
-        (input, pre-activation) pairs are appended to ``caches`` if given."""
+        """Forward pass; each layer's *input*, after its quantizer if it has one, is
+        offered to the tap, and (input, pre-activation) pairs are appended to ``caches``."""
         h = u
         for lyr in self.layers:
+            if lyr.quantizer is not None:
+                h = lyr.quantizer(h)
             if tap is not None:
                 tap.offer(lyr.name, t, h)
             z = h @ lyr.weight
@@ -415,12 +418,9 @@ def make_mixture_dataset(conds, n_per_cond: int, rng: nc.RngStream, data_dim: in
     """
     if not conds:
         raise ValueError("need at least one condition")
-    cdim = conds[0].dim
-    proj = nc.RngStream(0xD1F, 0).standard_normal(data_dim * cdim).reshape(data_dim, cdim)
     xs, row_conds = [], []
     for j, cond in enumerate(conds):
-        mu = proj @ cond.vector
-        mu = mode_radius * mu / max(float(np.linalg.norm(mu)), 1e-9)
+        mu = mixture_modes(cond, data_dim, mode_radius)[0]
         crng = rng.child(j)
         signs = np.where(crng.uniform(n_per_cond) < 0.5, 1.0, -1.0)
         noise = crng.standard_normal(n_per_cond * data_dim).reshape(n_per_cond, data_dim)

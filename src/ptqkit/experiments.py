@@ -104,6 +104,20 @@ def append_result(cfg: ExperimentConfig, command: str, payload: dict, wall_time_
     return record
 
 
+def _unique_records(path: str) -> dict:
+    """Records of a results file, first seen first, keyed by their canonical JSON
+    without wall time: a rerun appends a record identical but for wall time."""
+    records = {}
+    with open(path) as fh:
+        for line in fh:
+            if line.strip():
+                rec = json.loads(line)
+                canon = json.dumps({k: v for k, v in rec.items() if k != "wall_time_s"},
+                                   sort_keys=True)
+                records.setdefault(canon, rec)
+    return records
+
+
 def artifact_hashes(out_dir: str) -> dict:
     """sha256 per artifact; results records are canonicalized without wall time."""
     out = {}
@@ -111,20 +125,8 @@ def artifact_hashes(out_dir: str) -> dict:
         path = os.path.join(out_dir, name)
         if not os.path.isfile(path):
             continue
-        if name == RESULTS_FILE:
-            # wall time is the only nondeterministic field, and rerunning a
-            # command appends an identical record, so canonicalize to the
-            # ordered set of unique records
-            lines, seen = [], set()
-            with open(path) as fh:
-                for line in fh:
-                    rec = json.loads(line)
-                    rec.pop("wall_time_s", None)
-                    canon = json.dumps(rec, sort_keys=True)
-                    if canon not in seen:
-                        seen.add(canon)
-                        lines.append(canon)
-            blob = ("\n".join(lines)).encode()
+        if name == RESULTS_FILE:  # wall time is the only nondeterministic field
+            blob = "\n".join(_unique_records(path)).encode()
         else:
             with open(path, "rb") as fh:
                 blob = fh.read()
@@ -278,7 +280,7 @@ def cmd_quantize(cfg: ExperimentConfig) -> dict:
     full_b, quant_b, red = qz.model_size_bytes(model, policy)
     aspects = load_aspects(cfg)
     prompts = load_or_build_prompts(cfg, aspects)
-    quality = evaluate_pair(model, qmodel, sched, prompts, cfg.cond_embed_dim,
+    quality = evaluate_pair(model, qmodel.model, sched, prompts, cfg.cond_embed_dim,
                             cfg.n_eval, cfg.seed)
     payload = {
         "policy": policy.notation,
@@ -292,19 +294,29 @@ def cmd_quantize(cfg: ExperimentConfig) -> dict:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate_pair(model, qmodel, sched, prompts, cond_dim: int, n_eval: int, seed: int):
-    """Paired generation (same chain noise, one batch per model) -> FD, KL, and output MSE."""
+def evaluate_models(model, qmodels, sched, prompts, cond_dim: int, n_eval: int, seed: int):
+    """Paired generation: each of ``qmodels`` replays the chain noise of one
+    full-precision batch -> FD, KL, and output MSE per model."""
     per = max(n_eval // len(prompts.prompts), 1)
     conds, noise = _chain_rows(prompts, cond_dim, per, nc.RngStream(seed, 60), sched.T,
                                model.data_dim)
     full = dif.reverse_chains(model, sched, conds, noise)
-    quant = full if qmodel is model else dif.reverse_chains(qmodel, sched, conds, noise)
-    fa, fb = met.fit_gaussian(full), met.fit_gaussian(quant)
-    return {
-        "fd": met.frechet_distance(fa, fb),
-        "kl": met.kl_gaussian(fb, fa),
-        "mse": float(np.mean((full - quant) ** 2)),
-    }
+    fa = met.fit_gaussian(full)
+    out = []
+    for qmodel in qmodels:
+        quant = dif.reverse_chains(qmodel, sched, conds, noise)
+        fb = met.fit_gaussian(quant)
+        out.append({
+            "fd": met.frechet_distance(fa, fb),
+            "kl": met.kl_gaussian(fb, fa),
+            "mse": float(np.mean((full - quant) ** 2)),
+        })
+    return out
+
+
+def evaluate_pair(model, qmodel, sched, prompts, cond_dim: int, n_eval: int, seed: int):
+    """:func:`evaluate_models` for one model."""
+    return evaluate_models(model, [qmodel], sched, prompts, cond_dim, n_eval, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +332,17 @@ def cmd_sweep(cfg: ExperimentConfig) -> dict:
     prompts = load_or_build_prompts(cfg, aspects)
     seeds = [cfg.seed + i for i in range(cfg.sweep_seeds)]
     policies = ["32WfullA"] + [f"{b}WfullA" for b in cfg.sweep_bits]
+    qmodels = [qz.quantize_model(model, qz.PrecisionPolicy.uniform(model.layer_names, pol)).model
+               for pol in policies]
+
+    def _one(seed):  # one task per seed: all policies share its full-precision chains
+        return evaluate_models(model, qmodels, sched, prompts, cfg.cond_embed_dim, cfg.n_eval,
+                               seed)
+
+    by_seed = _map_seeds(_one, seeds, cfg.jobs)
     per_seed_rows = []
     rows = []
-    for pol in policies:
-        policy = qz.PrecisionPolicy.uniform(model.layer_names, pol)
-        qmodel = model if policy.weight_bits(model.layer_names[0]) == qz.FULL else \
-            qz.quantize_model(model, policy)
-        def _one(seed, qm=qmodel):
-            return evaluate_pair(model, qm, sched, prompts, cfg.cond_embed_dim, cfg.n_eval, seed)
-        results = _map_seeds(_one, seeds, cfg.jobs)
+    for pol, results in zip(policies, zip(*by_seed)):
         for s, r in zip(seeds, results):
             per_seed_rows.append((pol, s, r["fd"], r["mse"]))
         rows.append((pol, float(np.mean([r["fd"] for r in results])),
@@ -358,7 +372,7 @@ def compare_one_seed(cfg: ExperimentConfig, model, sched, prompts, seed: int,
             cal.save_calibration_set(cs, os.path.join(cfg.out_dir, f"calibset_{strategy}.json"))
         policy = qz.PrecisionPolicy.uniform(model.layer_names, cfg.policy)
         qmodel = qz.quantize_model(model, policy, cs, method=cfg.act_range_method,
-                                   percentile=cfg.act_percentile)
+                                   percentile=cfg.act_percentile).model
         out[strategy] = evaluate_pair(model, qmodel, sched, prompts, cfg.cond_embed_dim,
                                       cfg.n_eval, seed)
     return out
@@ -434,7 +448,7 @@ def cmd_scale(cfg: ExperimentConfig, prompt_counts=None) -> dict:
                                             nc.RngStream(seed, 50), sched)
             policy = qz.PrecisionPolicy.uniform(model.layer_names, cfg.policy)
             qmodel = qz.quantize_model(model, policy, cs, method=cfg.act_range_method,
-                                       percentile=cfg.act_percentile)
+                                       percentile=cfg.act_percentile).model
             return evaluate_pair(model, qmodel, sched, eval_prompts, cfg.cond_embed_dim,
                                  cfg.n_eval, seed)
 
@@ -459,19 +473,7 @@ def read_results(results_dir: str):
     path = os.path.join(results_dir, RESULTS_FILE)
     if not os.path.exists(path):
         raise ConfigError(f"no results file at {path}")
-    records, seen = [], set()
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            # a rerun of the same command appends an identical record
-            # (modulo wall time); reports treat those as one run
-            canon = json.dumps({k: v for k, v in rec.items() if k != "wall_time_s"},
-                               sort_keys=True)
-            if canon not in seen:
-                seen.add(canon)
-                records.append(rec)
+    records = list(_unique_records(path).values())  # reports treat reruns as one run
     if not records:
         raise ConfigError(f"results file {path} is empty")
     return records

@@ -1,4 +1,4 @@
-"""Dense numeric kernels and the seeded random stream used everywhere else.
+"""Tensor coercion, the seeded random stream used everywhere else, and moments.
 
 Tensors are plain 2-D float64 numpy arrays in row-major order.  All
 stochastic operations take an explicit :class:`RngStream`; there is no
@@ -18,21 +18,6 @@ def tensor2d(data) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("tensor contains non-finite entries")
     return arr
-
-
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.float64)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Standard matrix product with explicit shape checking."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("matmul operands must be 2-D")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"shape mismatch: ({a.shape[0]},{a.shape[1]}) x ({b.shape[0]},{b.shape[1]})")
-    return a @ b
 
 
 class RngStream:

@@ -108,18 +108,12 @@ class ActivationTap:
 
 @dataclass
 class LayerVarianceProfile:
-    """Per-cell variances, their normalization, and sampling probabilities.
-
-    The normalized variances already sum to one, so the sampling
-    probabilities are numerically identical to them; both maps are kept
-    and the identity is asserted at build time.
-    """
+    """Per-cell variances and the sampling probabilities they normalize to."""
 
     cells: list  # ordered (layer, timestep) keys
     counts: dict
     means: dict
     variances: dict
-    sigma_hat: dict
     probabilities: dict
     tau_var: float
     tau_fraction: float
@@ -166,20 +160,15 @@ def profile_from_variances(variances: dict, tau_fraction: float = 0.10, counts=N
     total = sum(variances[c] for c in cells)
     if total <= 0.0:
         # all-zero variance: uniform probabilities, tau_var 0
-        sigma_hat = {c: 1.0 / len(cells) for c in cells}
+        probabilities = {c: 1.0 / len(cells) for c in cells}
     else:
-        sigma_hat = {c: variances[c] / total for c in cells}
-    norm = sum(sigma_hat.values())
-    probabilities = {c: sigma_hat[c] / norm for c in cells}
-    for c in cells:
-        assert abs(probabilities[c] - sigma_hat[c]) <= 1e-12, "double normalization must be idempotent"
+        probabilities = {c: variances[c] / total for c in cells}
     tau_var = tau_fraction * max(variances[c] for c in cells)
     return LayerVarianceProfile(
         cells=cells,
         counts=dict(counts) if counts else {c: 2 for c in cells},
         means=dict(means) if means else {c: 0.0 for c in cells},
         variances=dict(variances),
-        sigma_hat=sigma_hat,
         probabilities=probabilities,
         tau_var=tau_var,
         tau_fraction=tau_fraction,
@@ -187,7 +176,7 @@ def profile_from_variances(variances: dict, tau_fraction: float = 0.10, counts=N
     )
 
 
-PROFILE_COLUMNS = ("layer", "timestep", "count", "mean", "variance", "sigma_hat", "p")
+PROFILE_COLUMNS = ("layer", "timestep", "count", "mean", "variance", "p")
 
 
 def export_profile(profile: LayerVarianceProfile, path) -> None:
@@ -199,7 +188,7 @@ def export_profile(profile: LayerVarianceProfile, path) -> None:
             layer, t = c
             fh.write(
                 f"{layer}\t{t}\t{profile.counts[c]}\t{profile.means[c]!r}\t"
-                f"{profile.variances[c]!r}\t{profile.sigma_hat[c]!r}\t{profile.probabilities[c]!r}\n"
+                f"{profile.variances[c]!r}\t{profile.probabilities[c]!r}\n"
             )
 
 
@@ -217,7 +206,7 @@ def load_profile(path) -> LayerVarianceProfile:
                 continue
             if line.startswith("layer\t") or not line:
                 continue
-            layer, t, count, mean, var, _, _ = line.split("\t")
+            layer, t, count, mean, var = line.split("\t")[:5]  # older files add sigma_hat
             key = (layer, int(t))
             variances[key] = float(var)
             counts[key] = int(count)

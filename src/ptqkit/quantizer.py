@@ -1,13 +1,17 @@
 """Affine quantization: w_hat = s * (clip(round(w / s) + Z, c_min, c_max) - Z).
 
 Weights use per-tensor symmetric grids (Z = 0), activations per-tensor
-asymmetric grids.  The forward path is simulated (fake) quantization:
-everything stays float64, quantize-dequantize is inserted for weights
-once and for activations at each layer boundary.
+asymmetric grids.  Quantization is simulated (fake): everything stays
+float64.  ``quantize_model`` returns a plain record whose ``model`` is an
+ordinary DenoiserModel with quantize-dequantized weights, and whose layers
+each carry an input quantizer (``fake_quant`` with the layer's activation
+params) that ``DenoiserModel.forward`` applies; there is no second forward
+pass.
 
 Rounding is half-away-from-zero, frozen for cross-platform determinism.
 """
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -206,40 +210,23 @@ class PrecisionPolicy:
         return self.per_layer[name][1]
 
 
+@dataclass(frozen=True)
 class QuantizedModel:
-    """Fake-quantized view of a DenoiserModel.
+    """A fake-quantized model and the parameters that made it.
 
-    Weights are quantize-dequantized once at construction; activations
-    are quantize-dequantized at each layer boundary during the forward
-    pass.  Immutable after construction.
+    ``model`` is a DenoiserModel whose weights are already
+    quantize-dequantized and whose layers carry their activation
+    quantizers, so its own forward pass is the quantized one.
     """
 
-    def __init__(self, model: DenoiserModel, policy: PrecisionPolicy,
-                 weight_params: dict, act_params: dict):
-        self._model = model
-        self.policy = policy
-        self.weight_params = weight_params  # layer -> QuantParams | None
-        self.act_params = act_params  # layer -> QuantParams | None
-        self.layers = model.layers
-        self.layer_names = model.layer_names
-        self.data_dim = model.data_dim
-        self.time_embed_dim = model.time_embed_dim
-        self.cond_embed_dim = model.cond_embed_dim
+    model: DenoiserModel
+    policy: PrecisionPolicy
+    weight_params: dict  # layer -> QuantParams | None
+    act_params: dict  # layer -> QuantParams | None
 
-    def assemble_input(self, x, t, cond, T):
-        return self._model.assemble_input(x, t, cond, T)
 
-    def forward(self, u: np.ndarray, tap=None, t: int = None) -> np.ndarray:
-        h = u
-        for lyr in self._model.layers:
-            ap = self.act_params.get(lyr.name)
-            if ap is not None:
-                h = fake_quant(h, ap)
-            if tap is not None:
-                tap.offer(lyr.name, t, h)
-            z = h @ lyr.weight + lyr.bias
-            h = z / (1.0 + np.exp(-z)) if lyr.activation == "silu" else z
-        return h
+def _input_quantizer(ap):
+    return None if ap is None else functools.partial(fake_quant, p=ap)
 
 
 def quantize_model(model: DenoiserModel, policy: PrecisionPolicy, calib=None,
@@ -255,23 +242,19 @@ def quantize_model(model: DenoiserModel, policy: PrecisionPolicy, calib=None,
     weight_params, act_params = {}, {}
     for lyr in model.layers:
         wb = policy.weight_bits(lyr.name)
-        if wb == FULL:
-            weight_params[lyr.name] = None
-            qlayers.append(AffineLayer(lyr.name, lyr.weight.copy(), lyr.bias.copy(), lyr.activation))
-        else:
-            wp = fit_params(lyr.weight.ravel(), wb, mode="symmetric", method="minmax")
-            weight_params[lyr.name] = wp
-            qlayers.append(AffineLayer(lyr.name, fake_quant(lyr.weight, wp), lyr.bias.copy(), lyr.activation))
-
+        wp = None if wb == FULL else fit_params(lyr.weight.ravel(), wb, mode="symmetric",
+                                                method="minmax")
         ab = policy.act_bits(lyr.name)
-        if ab == FULL:
-            act_params[lyr.name] = None
-        else:
+        ap = None
+        if ab != FULL:
             values = None if calib is None else calib.activations_for_layer(lyr.name)
             if values is None or values.size == 0:
                 raise CalibrationCoverageError(lyr.name)
-            act_params[lyr.name] = fit_params(values, ab, mode="asymmetric",
-                                              method=method, percentile=percentile)
+            ap = fit_params(values, ab, mode="asymmetric", method=method, percentile=percentile)
+        weight_params[lyr.name], act_params[lyr.name] = wp, ap
+        weight = lyr.weight.copy() if wp is None else fake_quant(lyr.weight, wp)
+        qlayers.append(AffineLayer(lyr.name, weight, lyr.bias.copy(), lyr.activation,
+                                   _input_quantizer(ap)))
     qmodel = DenoiserModel(qlayers, model.time_embed_dim, model.cond_embed_dim, model.data_dim)
     return QuantizedModel(qmodel, policy, weight_params, act_params)
 
@@ -306,7 +289,7 @@ def model_size_bytes(model: DenoiserModel, policy: PrecisionPolicy,
 
 def save_quantized_checkpoint(qmodel: QuantizedModel, sched, path) -> None:
     """Quantized checkpoint = base checkpoint + policy + per-layer QuantParams."""
-    doc = checkpoint_document(qmodel._model, sched)
+    doc = checkpoint_document(qmodel.model, sched)
     doc["policy"] = {
         "notation": qmodel.policy.notation,
         "per_layer": {
@@ -318,7 +301,7 @@ def save_quantized_checkpoint(qmodel: QuantizedModel, sched, path) -> None:
             "weight": qmodel.weight_params[name].to_dict() if qmodel.weight_params[name] else None,
             "activation": qmodel.act_params[name].to_dict() if qmodel.act_params[name] else None,
         }
-        for name in qmodel.layer_names
+        for name in qmodel.model.layer_names
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True)
@@ -343,5 +326,7 @@ def load_quantized_checkpoint(path):
         name: QuantParams.from_dict(rec["activation"]) if rec["activation"] else None
         for name, rec in doc["quant_params"].items()
     }
+    for lyr in model.layers:  # the saved weights are already fake-quantized
+        lyr.quantizer = _input_quantizer(ap[lyr.name])
     return QuantizedModel(model, policy, wp, ap), sched
 

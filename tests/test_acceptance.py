@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from test_coverage import AdversarialCaptionGenerator
 from test_metrics import oracle_frechet
 
 from ptqkit import calibration as cal
@@ -90,7 +91,7 @@ def test_criterion_3_augmentation_termination_and_coverage():
                                 i_max=10, tau_redundancy=0)
     # one coverage round means exactly |B| coverage-phase generator calls
     full = all(cov.global_coverage(final))
-    adv = cov.AdversarialCaptionGenerator()
+    adv = AdversarialCaptionGenerator()
     _, adv_report = cov.augment(cov.PromptSet(prompts=[]), aspects, adv, i_max=10)
     ok = (
         full

@@ -7,6 +7,17 @@ import pytest
 from ptqkit import coverage as cov
 
 
+class AdversarialCaptionGenerator(cov.CaptionGenerator):
+    """Never covers anything; used to exercise the iteration cap."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def generate(self, aspect, context_texts):
+        self.calls += 1
+        return "an unrelated clip of nothing in particular"
+
+
 @pytest.fixture(scope="module")
 def aspects():
     return cov.AspectSet.default()
@@ -136,7 +147,7 @@ class TestAugment:
 
     def test_adversarial_mock_halts_at_i_max_with_report(self, aspects):
         seed = cov.PromptSet(prompts=[])
-        gen = cov.AdversarialCaptionGenerator()
+        gen = AdversarialCaptionGenerator()
         final, report = cov.augment(seed, aspects, gen, i_max=10)
         assert report.coverage_rounds == 10
         assert sorted(report.uncovered) == sorted(a.aspect_id for a in aspects)

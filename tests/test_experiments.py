@@ -40,6 +40,17 @@ class TestSweep:
             lines = [line for line in fh if line.strip()]
         assert len(lines) == 1 + len(rows)  # header + one row per policy
 
+    def test_jobs_do_not_change_tables(self, tmp_path, pipeline_cfg):
+        tables = {}
+        for jobs in (1, 2):
+            cfg = _copy_pipeline(pipeline_cfg, tmp_path / f"jobs{jobs}", sweep_seeds=2, n_eval=8,
+                                 jobs=jobs)
+            exp.cmd_sweep(cfg)
+            tables[jobs] = [open(os.path.join(cfg.out_dir, name), "rb").read()
+                            for name in ("sweep.tsv", "sweep_per_seed.tsv")]
+        assert tables[1] == tables[2]
+        assert tables[1][1].count(b"\n") == 1 + 2 * (1 + len(pipeline_cfg.sweep_bits))
+
 
 class TestCompare:
     def test_uniform_variance_profile_levels_the_strategies(self, pipeline_cfg, trained,

@@ -9,41 +9,6 @@ from ptqkit import numeric_core as nc
 from ptqkit.errors import ShapeError
 
 
-class TestMatmul:
-    def test_identity_left(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(nc.matmul(nc.identity(2), m), m)
-
-    def test_identity_right(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(nc.matmul(m, np.array([[1.0, 0.0], [0.0, 1.0]])), m)
-
-    def test_hand_computed_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0], [6.0]])
-        assert np.array_equal(nc.matmul(a, b), np.array([[17.0], [39.0]]))
-
-    def test_associativity_within_tolerance(self):
-        rng = nc.RngStream(11)
-        for trial in range(20):
-            r = rng.child(trial)
-            a = r.standard_normal(12).reshape(3, 4)
-            b = r.standard_normal(20).reshape(4, 5)
-            c = r.standard_normal(10).reshape(5, 2)
-            left = nc.matmul(nc.matmul(a, b), c)
-            right = nc.matmul(a, nc.matmul(b, c))
-            denom = max(float(np.max(np.abs(left))), 1.0)
-            assert np.max(np.abs(left - right)) / denom < 1e-9
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            nc.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_non_2d_rejected(self):
-        with pytest.raises(ShapeError):
-            nc.matmul(np.ones(3), np.ones((3, 1)))
-
-
 class TestTensor2d:
     def test_rejects_1d(self):
         with pytest.raises(ShapeError):

@@ -117,14 +117,14 @@ class TestBuildProfile:
         variances = {("l", t): float(v) for t, v in enumerate(rng.uniform(50), start=1)}
         profile = prof.profile_from_variances(variances)
         assert sum(profile.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
-        assert sum(profile.sigma_hat.values()) == pytest.approx(1.0, abs=1e-12)
         assert all(p >= 0.0 for p in profile.probabilities.values())
 
     def test_probabilities_equal_normalized_variances(self):
         variances = {("l", t): float(t) for t in range(1, 9)}
         profile = prof.profile_from_variances(variances)
+        total = sum(variances.values())
         for c in profile.cells:
-            assert profile.probabilities[c] == pytest.approx(profile.sigma_hat[c], abs=1e-12)
+            assert profile.probabilities[c] == pytest.approx(variances[c] / total, abs=1e-12)
 
     def test_all_zero_variances_uniform_fallback(self):
         profile = prof.profile_from_variances({("a", 1): 0.0, ("a", 2): 0.0})
@@ -161,6 +161,20 @@ class TestProfileIO:
         for c in profile.cells:
             assert loaded.variances[c] == profile.variances[c]  # repr round trip is exact
             assert loaded.probabilities[c] == pytest.approx(profile.probabilities[c], abs=1e-15)
+
+    def test_loads_file_with_sigma_hat_column(self, tmp_path):
+        # profile.tsv files from earlier versions carry a sigma_hat column before p
+        path = tmp_path / "profile.tsv"
+        path.write_text("# tau_fraction=0.25\ttau_var=0.75\n"
+                        "layer\ttimestep\tcount\tmean\tvariance\tsigma_hat\tp\n"
+                        "layer0\t1\t4\t0.5\t1.0\t0.25\t0.25\n"
+                        "layer0\t2\t4\t-0.5\t3.0\t0.75\t0.75\n")
+        loaded = prof.load_profile(path)
+        assert loaded.cells == [("layer0", 1), ("layer0", 2)]
+        assert loaded.counts == {("layer0", 1): 4, ("layer0", 2): 4}
+        assert loaded.means == {("layer0", 1): 0.5, ("layer0", 2): -0.5}
+        assert loaded.probabilities == {("layer0", 1): 0.25, ("layer0", 2): 0.75}
+        assert loaded.tau_fraction == 0.25 and loaded.tau_var == 0.75
 
     def test_content_hash_tracks_variances(self):
         a = prof.profile_from_variances({("l", 1): 1.0, ("l", 2): 2.0})

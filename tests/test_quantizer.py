@@ -192,14 +192,14 @@ class TestQuantizeModel:
         pol = qz.PrecisionPolicy.uniform(model.layer_names, "fullWfullA")
         qmodel = qz.quantize_model(model, pol)
         u = nc.RngStream(83).standard_normal(3 * 12).reshape(3, 12)
-        assert np.array_equal(qmodel.forward(u), model.forward(u))
+        assert np.array_equal(qmodel.model.forward(u), model.forward(u))
 
     def test_weights_only_policy_needs_no_calibration(self):
         model = _tiny_model()
         pol = qz.PrecisionPolicy.uniform(model.layer_names, "8WfullA")
         qmodel = qz.quantize_model(model, pol)  # no calibration set passed
         u = nc.RngStream(89).standard_normal(12).reshape(1, 12)
-        assert np.all(np.isfinite(qmodel.forward(u)))
+        assert np.all(np.isfinite(qmodel.model.forward(u)))
 
     def test_activation_policy_without_calibration_names_layer(self):
         model = _tiny_model()
@@ -217,9 +217,56 @@ class TestQuantizeModel:
             qmodel = qz.quantize_model(model, pol, calibset,
                                        method=pipeline_cfg.act_range_method,
                                        percentile=pipeline_cfg.act_percentile)
-            results[spec] = evaluate_pair(model, qmodel, sched, prompt_set,
+            results[spec] = evaluate_pair(model, qmodel.model, sched, prompt_set,
                                           pipeline_cfg.cond_embed_dim, 32, seed=123)
         assert results["8W16A"]["mse"] < results["4W8A"]["mse"]
+
+
+def reference_forward(qmodel, u, tap=None, t=None):
+    """The fake-quantized forward pass written out inline, from the record's
+    activation params rather than the layers' own quantizers."""
+    h = u
+    for lyr in qmodel.model.layers:
+        ap = qmodel.act_params[lyr.name]
+        if ap is not None:
+            h = qz.fake_quant(h, ap)
+        if tap is not None:
+            tap.offer(lyr.name, t, h)
+        z = h @ lyr.weight + lyr.bias
+        h = z / (1.0 + np.exp(-z)) if lyr.activation == "silu" else z
+    return h
+
+
+class _Offers(list):
+    def offer(self, layer, t, values):
+        self.append((layer, t, np.array(values)))
+
+
+class TestQuantizedForward:
+    def _quantized(self, spec, trained, calibset, cfg):
+        model, _ = trained
+        return qz.quantize_model(model, qz.PrecisionPolicy.uniform(model.layer_names, spec),
+                                 calibset, method=cfg.act_range_method,
+                                 percentile=cfg.act_percentile)
+
+    @pytest.mark.parametrize("spec", ["8W8A", "4W8A"])
+    def test_forward_equals_inline_reference(self, spec, trained, calibset, pipeline_cfg):
+        qmodel = self._quantized(spec, trained, calibset, pipeline_cfg)
+        u = nc.RngStream(103).standard_normal(16 * 18).reshape(16, 18)
+        assert np.array_equal(qmodel.model.forward(u), reference_forward(qmodel, u))
+
+    def test_tap_sees_quantized_inputs(self, trained, calibset, pipeline_cfg):
+        qmodel = self._quantized("4W8A", trained, calibset, pipeline_cfg)
+        u = nc.RngStream(107).standard_normal(8 * 18).reshape(8, 18)
+        got, want = _Offers(), _Offers()
+        qmodel.model.forward(u, tap=got, t=7)
+        reference_forward(qmodel, u, tap=want, t=7)
+        assert [(n, t) for n, t, _ in got] == [(n, 7) for n in qmodel.model.layer_names]
+        for (_, _, g), (_, _, w) in zip(got, want):
+            assert np.array_equal(g, w)
+        for name, _, h in got:  # every offered input already lies on its layer's grid
+            assert np.array_equal(qz.fake_quant(h, qmodel.act_params[name]), h)
+        assert not np.array_equal(got[0][2], u)
 
 
 class TestSizeAccounting:
@@ -269,6 +316,8 @@ class TestQuantizedCheckpoint:
         qz.save_quantized_checkpoint(qmodel, sched, path)
         loaded, sched2 = qz.load_quantized_checkpoint(path)
         u = nc.RngStream(101).standard_normal(4 * 18).reshape(4, 18)
-        assert np.array_equal(loaded.forward(u), qmodel.forward(u))
+        assert all(lyr.quantizer is not None for lyr in loaded.model.layers)
+        assert np.array_equal(loaded.model.forward(u), qmodel.model.forward(u))
+        assert np.array_equal(loaded.model.forward(u), reference_forward(loaded, u))
         assert np.array_equal(sched2.alpha_bar, sched.alpha_bar)
         assert loaded.policy.notation == "8W8A"
