@@ -10,6 +10,7 @@ Subpackages:
     coverage      -- aspect coverage vectors and prompt augmentation
     metrics       -- Frechet distance and Gaussian KL
     experiments   -- pipeline commands behind the CLI
+    artifacts     -- the atomic file writer and the JSON/TSV readers
 """
 
 __version__ = "0.1.0"

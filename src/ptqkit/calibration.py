@@ -10,16 +10,15 @@ the sample's timestep.  Replay is exact because every sample's chains
 are keyed by (base stream, sample index).
 """
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import numeric_core as nc
+from .artifacts import doc_hash, read_json, write_json
 from .diffusion import chain_noise, condition_embedding, model_hash, reverse_chains
-from .errors import DegenerateProfileError
+from .errors import ConfigError, DegenerateProfileError
 from .profiler import LayerVarianceProfile
 
 CALIBSET_FORMAT_VERSION = 1
@@ -186,16 +185,13 @@ def save_calibration_set(cs: CalibrationSet, path) -> None:
             for s in cs.samples
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_calibration_set(path) -> CalibrationSet:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if doc.get("format_version") != CALIBSET_FORMAT_VERSION:
-        raise ValueError(f"unsupported calibration set format_version {doc.get('format_version')!r}")
+        raise ConfigError(f"unsupported calibration set format_version {doc.get('format_version')!r}")
     samples = [
         CalibrationSample(
             prompt_id=d["prompt_id"],
@@ -211,15 +207,8 @@ def load_calibration_set(path) -> CalibrationSet:
 
 
 def calibration_set_hash(cs: CalibrationSet) -> str:
-    blob = json.dumps(
-        {
-            "strategy": cs.strategy,
-            "K": cs.K,
-            "samples": [
-                [s.prompt_id, s.layer, s.timestep, s.activation.tolist()]
-                for s in cs.samples
-            ],
-        },
-        sort_keys=True,
-    ).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return doc_hash({
+        "strategy": cs.strategy,
+        "K": cs.K,
+        "samples": [[s.prompt_id, s.layer, s.timestep, s.activation.tolist()] for s in cs.samples],
+    })

@@ -46,6 +46,10 @@ _COMMANDS = {
 }
 
 
+def _comma_ints(text: str) -> list:
+    return [int(tok) for tok in text.split(",")]  # argparse exits 2 on the ValueError
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ptqkit",
                                      description="Calibration-aware PTQ toolkit for a toy diffusion model")
@@ -66,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--strategy",
                            choices=("variance_aware", "random_uniform", "normal_timestep"))
         if name == "scale":
-            p.add_argument("--counts", help="comma-separated prompt counts")
+            p.add_argument("--counts", type=_comma_ints, help="comma-separated prompt counts")
 
     p = sub.add_parser("report")
     p.add_argument("results_dir", help="directory holding results.jsonl")
@@ -81,17 +85,11 @@ def main(argv=None) -> int:
             info = exp.cmd_report(args.results_dir, out_dir=args.out)
             print(json.dumps(info, sort_keys=True))
             return EXIT_OK
-        overrides = {"seed": args.seed, "out_dir": args.out, "jobs": args.jobs}
-        if getattr(args, "policy", None):
-            overrides["policy"] = args.policy
-        if getattr(args, "strategy", None):
-            overrides["strategy"] = args.strategy
-        cfg = load_config(args.config, overrides)
-        if args.command == "scale" and getattr(args, "counts", None):
-            counts = [int(tok) for tok in args.counts.split(",")]
-            record = exp.cmd_scale(cfg, prompt_counts=counts)
-        else:
-            record = _COMMANDS[args.command](cfg)
+        overrides = {"seed": args.seed, "out_dir": args.out, "jobs": args.jobs,
+                     "policy": getattr(args, "policy", None),
+                     "strategy": getattr(args, "strategy", None),
+                     "scale_counts": getattr(args, "counts", None)}
+        record = _COMMANDS[args.command](load_config(args.config, overrides))
         print(json.dumps({k: record[k] for k in ("run_id", "config_hash")}, sort_keys=True))
         return EXIT_OK
     except ConfigError as exc:

@@ -7,11 +7,10 @@ out of the hash: it changes how seeds are scheduled, never the results.
 """
 
 import dataclasses
-import hashlib
-import json
 import os
 from dataclasses import dataclass, field
 
+from .artifacts import doc_hash, read_json
 from .errors import ConfigError
 
 
@@ -67,9 +66,7 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
     def config_hash(self) -> str:
-        doc = {k: v for k, v in self.to_dict().items() if k != "jobs"}
-        blob = json.dumps(doc, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return doc_hash({k: v for k, v in self.to_dict().items() if k != "jobs"})
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
@@ -81,11 +78,7 @@ def load_config(path=None, overrides: dict = None) -> ExperimentConfig:
     if path:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        doc = read_json(path)
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
         for key, val in doc.items():
@@ -100,16 +93,37 @@ def load_config(path=None, overrides: dict = None) -> ExperimentConfig:
     return cfg
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
-    from .quantizer import parse_policy_string
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
-    for name, low in (("k", 1), ("timesteps", 2), ("epochs", 1), ("time_embed_dim", 2)):
+
+def _int_list(ok, empty_ok=False):
+    return lambda v: isinstance(v, list) and (empty_ok or v) and all(_is_int(x) and ok(x) for x in v)
+
+
+def validate_config(cfg: ExperimentConfig) -> None:
+    from .quantizer import SUPPORTED_BITWIDTHS, parse_policy_string
+
+    for name, low in (("k", 1), ("timesteps", 2), ("epochs", 1), ("time_embed_dim", 2),
+                      ("batch_size", 1), ("n_train_per_prompt", 1), ("n_eval", 1),
+                      ("n_profile_chains", 1), ("sweep_seeds", 1), ("compare_seeds", 1),
+                      ("scale_seeds", 1)):
         value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        if not _is_int(value) or value < low:
             raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
     if cfg.time_embed_dim % 2:
         # the sinusoidal embedding is sin/cos pairs, so the model input width needs it even
         raise ConfigError(f"time_embed_dim must be even, got {cfg.time_embed_dim}")
+    number = lambda v: _is_int(v) or isinstance(v, float)  # noqa: E731
+    for name, what, ok in (
+            ("tau_fraction", "a number in [0, 1]", lambda v: number(v) and 0 <= v <= 1),
+            ("act_percentile", "a number in (50, 100]", lambda v: number(v) and 50 < v <= 100),
+            ("hidden", "a list of positive integers", _int_list(lambda x: x >= 1, empty_ok=True)),
+            ("scale_counts", "a non-empty list of positive integers", _int_list(lambda x: x >= 1)),
+            ("sweep_bits", f"a non-empty list of bitwidths in {SUPPORTED_BITWIDTHS}",
+             _int_list(lambda x: x in SUPPORTED_BITWIDTHS))):
+        if not ok(getattr(cfg, name)):
+            raise ConfigError(f"{name} must be {what}, got {getattr(cfg, name)!r}")
     try:
         parse_policy_string(cfg.policy)
     except ValueError as exc:

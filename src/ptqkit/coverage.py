@@ -19,6 +19,7 @@ import urllib.request
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .artifacts import read_json, read_tsv, write_tsv
 from .errors import GeneratorError
 
 _PUNCT_TABLE = str.maketrans({ch: " " for ch in string.punctuation})
@@ -65,26 +66,11 @@ class AspectSet:
     @classmethod
     def default(cls) -> "AspectSet":
         """The built-in 16 audio aspects (7 modalities + 9 characteristics)."""
-        data = resources.files("ptqkit").joinpath("data/aspects.json").read_text()
-        return cls.from_json(data)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AspectSet":
-        records = json.loads(text)
-        return cls([Aspect(r["id"], r["name"], tuple(r["phrases"])) for r in records])
+        return cls.from_file(resources.files("ptqkit").joinpath("data/aspects.json"))
 
     @classmethod
     def from_file(cls, path) -> "AspectSet":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
-
-    def to_file(self, path) -> None:
-        records = [
-            {"id": a.aspect_id, "name": a.name, "phrases": list(a.lexicon)} for a in self.aspects
-        ]
-        with open(path, "w") as fh:
-            json.dump(records, fh, indent=2)
-            fh.write("\n")
+        return cls([Aspect(r["id"], r["name"], tuple(r["phrases"])) for r in read_json(path)])
 
 
 def _phrase_in_tokens(phrase: str, tokens) -> bool:
@@ -242,7 +228,7 @@ class AugmentReport:
 
 
 def augment(seed_set: PromptSet, aspects: AspectSet, gen: CaptionGenerator,
-            i_max: int = 10, tau_redundancy: int = 0, rng=None):
+            i_max: int = 10, tau_redundancy: int = 0):
     """Grow the seed set until every aspect is covered, then prune redundancy.
 
     Coverage rounds request one candidate per uncovered aspect and admit
@@ -330,25 +316,13 @@ def augment(seed_set: PromptSet, aspects: AspectSet, gen: CaptionGenerator,
 
 def save_prompt_set(ps: PromptSet, path) -> None:
     """One tab-separated record per prompt: id, coverage bits, text."""
-    with open(path, "w") as fh:
-        fh.write(f"# role={ps.role}\n")
-        fh.write("prompt_id\tbits\ttext\n")
-        for p in ps.prompts:
-            fh.write(f"{p.prompt_id}\t{''.join(str(b) for b in p.bits)}\t{p.text}\n")
+    write_tsv(path, ("prompt_id", "bits", "text"),
+              [(p.prompt_id, "".join(str(b) for b in p.bits), p.text) for p in ps.prompts],
+              comment={"role": ps.role})
 
 
 def load_prompt_set(path) -> PromptSet:
-    role = "random_seed_set"
-    prompts = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                _, _, v = line[1:].strip().partition("=")
-                role = v or role
-                continue
-            if not line or line.startswith("prompt_id\t"):
-                continue
-            pid, bits, text = line.split("\t", 2)
-            prompts.append(Prompt(prompt_id=pid, text=text, bits=tuple(int(b) for b in bits)))
-    return PromptSet(prompts=prompts, role=role)
+    comment, rows = read_tsv(path, {"prompt_id": str, "text": str,
+                                    "bits": lambda s: tuple(int(b) for b in s)})
+    return PromptSet(prompts=[Prompt(**r) for r in rows],
+                     role=comment.get("role") or "random_seed_set")

@@ -10,14 +10,14 @@ prompt conditioning to work with at desk scale.
 import copy
 import functools
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numeric_core as nc
-from .errors import ShapeError, TrainingDivergenceError
+from .artifacts import doc_hash, read_json, write_json
+from .errors import ConfigError, ShapeError, TrainingDivergenceError
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -438,10 +438,7 @@ def mixture_modes(cond: ConditionEmbedding, data_dim: int = 2, mode_radius: floa
 
 
 def save_checkpoint(model: DenoiserModel, sched: NoiseSchedule, path) -> None:
-    doc = checkpoint_document(model, sched)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, checkpoint_document(model, sched))
 
 
 def checkpoint_document(model: DenoiserModel, sched: NoiseSchedule) -> dict:
@@ -466,7 +463,7 @@ def checkpoint_document(model: DenoiserModel, sched: NoiseSchedule) -> dict:
 
 def model_from_document(doc: dict):
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format_version {doc.get('format_version')!r}")
+        raise ConfigError(f"unsupported checkpoint format_version {doc.get('format_version')!r}")
     sched = NoiseSchedule(doc["schedule"]["alpha_bar"], kind=doc["schedule"]["kind"])
     layers = [
         AffineLayer(name=d["name"], weight=np.array(d["weight"]), bias=np.array(d["bias"]),
@@ -478,11 +475,8 @@ def model_from_document(doc: dict):
 
 
 def load_checkpoint(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    return model_from_document(doc)
+    return model_from_document(read_json(path))
 
 
 def model_hash(model: DenoiserModel, sched: NoiseSchedule) -> str:
-    blob = json.dumps(checkpoint_document(model, sched), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return doc_hash(checkpoint_document(model, sched))

@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
+from . import artifacts as art
 from . import calibration as cal
 from . import coverage as cov
 from . import diffusion as dif
@@ -27,16 +28,17 @@ from .config import ExperimentConfig
 from .errors import ConfigError
 
 RESULTS_FILE = "results.jsonl"
+# header of each experiment's table; report gathers the records' rows under it
+TABLES = {
+    "sweep": ("policy", "mean_fd", "mean_mse"),
+    "compare": ("strategy", "seed", "fd", "kl", "mse"),
+    "scale": ("n_prompts", "mean_fd", "n_uncovered", "uncovered"),
+}
 
 
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
-
-def _ensure_out(cfg: ExperimentConfig) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return cfg.out_dir
-
 
 def load_aspects(cfg: ExperimentConfig) -> cov.AspectSet:
     return cov.AspectSet.from_file(cfg.lexicon) if cfg.lexicon else cov.AspectSet.default()
@@ -90,32 +92,28 @@ def make_schedule(cfg: ExperimentConfig) -> dif.NoiseSchedule:
 
 
 def append_result(cfg: ExperimentConfig, command: str, payload: dict, wall_time_s: float) -> dict:
+    """Record a command run in ``results.jsonl``; a rerun replaces its record in place."""
     record = {
         "run_id": f"{command}-{cfg.config_hash()[:12]}",
         "command": command,
         "config_hash": cfg.config_hash(),
         "toolkit_version": __version__,
+        "policy": "",
+        "size": {},
         **payload,
         "wall_time_s": wall_time_s,
     }
     path = os.path.join(cfg.out_dir, RESULTS_FILE)
-    with open(path, "a") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+    records = _records_by_run_id(path) if os.path.exists(path) else {}
+    records[record["run_id"]] = record
+    art.write_jsonl(path, records.values())
     return record
 
 
-def _unique_records(path: str) -> dict:
-    """Records of a results file, first seen first, keyed by their canonical JSON
-    without wall time: a rerun appends a record identical but for wall time."""
-    records = {}
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                rec = json.loads(line)
-                canon = json.dumps({k: v for k, v in rec.items() if k != "wall_time_s"},
-                                   sort_keys=True)
-                records.setdefault(canon, rec)
-    return records
+def _records_by_run_id(path: str) -> dict:
+    """Records of a results file keyed by run_id, in first-seen order.  A later
+    line of the same run_id (older versions appended reruns) replaces the earlier."""
+    return {rec.get("run_id"): rec for rec in art.read_jsonl(path)}
 
 
 def artifact_hashes(out_dir: str) -> dict:
@@ -126,25 +124,14 @@ def artifact_hashes(out_dir: str) -> dict:
         if not os.path.isfile(path):
             continue
         if name == RESULTS_FILE:  # wall time is the only nondeterministic field
-            blob = "\n".join(_unique_records(path)).encode()
+            blob = "\n".join(
+                json.dumps({k: v for k, v in rec.items() if k != "wall_time_s"}, sort_keys=True)
+                for rec in _records_by_run_id(path).values()).encode()
         else:
             with open(path, "rb") as fh:
                 blob = fh.read()
         out[name] = hashlib.sha256(blob).hexdigest()
     return out
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(float(v))  # full precision, stable across numpy scalar types
-    return str(v)
-
-
-def _write_table(path, header, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(_fmt(v) for v in row) + "\n")
 
 
 def _map_seeds(fn, seeds, jobs: int):
@@ -160,7 +147,6 @@ def _map_seeds(fn, seeds, jobs: int):
 
 def cmd_train(cfg: ExperimentConfig) -> dict:
     t0 = time.monotonic()
-    _ensure_out(cfg)
     aspects = load_aspects(cfg)
     prompts = load_or_build_prompts(cfg, aspects)
     conds = _conds_for(prompts, cfg.cond_embed_dim)
@@ -168,25 +154,24 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
     rng = nc.RngStream(cfg.seed, 1)
     dataset, row_conds = dif.make_mixture_dataset(conds, cfg.n_train_per_prompt, rng.child(1),
                                                   data_dim=cfg.data_dim)
+    if len(dataset) < cfg.batch_size:
+        raise ConfigError(f"batch_size {cfg.batch_size} exceeds the {len(dataset)} training rows "
+                          f"({len(prompts.prompts)} prompts x n_train_per_prompt)")
     model = dif.DenoiserModel.create(cfg.data_dim, tuple(cfg.hidden), cfg.time_embed_dim,
                                      cfg.cond_embed_dim, rng=rng.child(2))
     hyper = dif.TrainConfig(learning_rate=cfg.learning_rate, epochs=cfg.epochs,
                             batch_size=cfg.batch_size)
     result = dif.train(model, dataset, row_conds, sched, hyper, rng.child(3))
     dif.save_checkpoint(result.model, sched, cfg.resolved_checkpoint())
-    _write_table(os.path.join(cfg.out_dir, "loss_trace.tsv"), ("epoch", "loss"),
-                 list(enumerate(result.losses)))
-    payload = {
-        "policy": "32W32A",
-        "metrics": {"final_loss": result.losses[-1] if result.losses else None},
-        "size": {},
-    }
+    art.write_tsv(os.path.join(cfg.out_dir, "loss_trace.tsv"), ("epoch", "loss"),
+                  list(enumerate(result.losses)))
+    payload = {"policy": "32W32A",
+               "metrics": {"final_loss": result.losses[-1] if result.losses else None}}
     return append_result(cfg, "train", payload, time.monotonic() - t0)
 
 
 def cmd_prompts(cfg: ExperimentConfig) -> dict:
     t0 = time.monotonic()
-    _ensure_out(cfg)
     aspects = load_aspects(cfg)
     final, report = build_prompts(cfg, aspects)
     cov.save_prompt_set(final, cfg.resolved_prompts_file())
@@ -198,11 +183,8 @@ def cmd_prompts(cfg: ExperimentConfig) -> dict:
         "final_redundancy": report.final_redundancy,
         "n_prompts": len(final.prompts),
     }
-    with open(os.path.join(cfg.out_dir, "coverage_report.json"), "w") as fh:
-        json.dump(report_doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return append_result(cfg, "prompts", {"metrics": report_doc, "policy": "", "size": {}},
-                         time.monotonic() - t0)
+    art.write_json(os.path.join(cfg.out_dir, "coverage_report.json"), report_doc, indent=2)
+    return append_result(cfg, "prompts", {"metrics": report_doc}, time.monotonic() - t0)
 
 
 def _profile_for(model, sched, prompts, cfg: ExperimentConfig, seed: int):
@@ -216,17 +198,12 @@ def _profile_for(model, sched, prompts, cfg: ExperimentConfig, seed: int):
 
 def cmd_profile(cfg: ExperimentConfig) -> dict:
     t0 = time.monotonic()
-    _ensure_out(cfg)
     model, sched = _require_checkpoint(cfg)
     aspects = load_aspects(cfg)
     prompts = load_or_build_prompts(cfg, aspects)
     profile = _profile_for(model, sched, prompts, cfg, cfg.seed)
     prof.export_profile(profile, os.path.join(cfg.out_dir, "profile.tsv"))
-    payload = {
-        "policy": "",
-        "metrics": {"cells": len(profile.cells), "tau_var": profile.tau_var},
-        "size": {},
-    }
+    payload = {"metrics": {"cells": len(profile.cells), "tau_var": profile.tau_var}}
     return append_result(cfg, "profile", payload, time.monotonic() - t0)
 
 
@@ -248,23 +225,18 @@ def _build_calibset(cfg: ExperimentConfig, model, sched, prompts, strategy: str,
 
 def cmd_calibset(cfg: ExperimentConfig) -> dict:
     t0 = time.monotonic()
-    _ensure_out(cfg)
     model, sched = _require_checkpoint(cfg)
     aspects = load_aspects(cfg)
     prompts = load_or_build_prompts(cfg, aspects)
     cs = _build_calibset(cfg, model, sched, prompts, cfg.strategy, cfg.seed)
     cal.save_calibration_set(cs, os.path.join(cfg.out_dir, "calibset.json"))
-    payload = {
-        "policy": "",
-        "metrics": {"strategy": cs.strategy, "K": cs.K, "set_hash": cal.calibration_set_hash(cs)},
-        "size": {},
-    }
+    payload = {"metrics": {"strategy": cs.strategy, "K": cs.K,
+                           "set_hash": cal.calibration_set_hash(cs)}}
     return append_result(cfg, "calibset", payload, time.monotonic() - t0)
 
 
 def cmd_quantize(cfg: ExperimentConfig) -> dict:
     t0 = time.monotonic()
-    _ensure_out(cfg)
     model, sched = _require_checkpoint(cfg)
     wb, ab = qz.parse_policy_string(cfg.policy)
     policy = qz.PrecisionPolicy.uniform(model.layer_names, cfg.policy)
@@ -326,7 +298,6 @@ def evaluate_pair(model, qmodel, sched, prompts, cond_dim: int, n_eval: int, see
 def cmd_sweep(cfg: ExperimentConfig) -> dict:
     """Weight-only quantization at each bitwidth, no calibration."""
     t0 = time.monotonic()
-    _ensure_out(cfg)
     model, sched = _require_checkpoint(cfg)
     aspects = load_aspects(cfg)
     prompts = load_or_build_prompts(cfg, aspects)
@@ -347,14 +318,13 @@ def cmd_sweep(cfg: ExperimentConfig) -> dict:
             per_seed_rows.append((pol, s, r["fd"], r["mse"]))
         rows.append((pol, float(np.mean([r["fd"] for r in results])),
                      float(np.mean([r["mse"] for r in results]))))
-    _write_table(os.path.join(cfg.out_dir, "sweep.tsv"), ("policy", "mean_fd", "mean_mse"), rows)
-    _write_table(os.path.join(cfg.out_dir, "sweep_per_seed.tsv"),
-                 ("policy", "seed", "fd", "mse"), per_seed_rows)
+    art.write_tsv(os.path.join(cfg.out_dir, "sweep.tsv"), TABLES["sweep"], rows)
+    art.write_tsv(os.path.join(cfg.out_dir, "sweep_per_seed.tsv"),
+                  ("policy", "seed", "fd", "mse"), per_seed_rows)
     payload = {
         "policy": ",".join(policies),
         "metrics": {"kind": "sweep", "rows": [list(r) for r in rows],
                     "per_seed": [list(r) for r in per_seed_rows]},
-        "size": {},
     }
     return append_result(cfg, "sweep", payload, time.monotonic() - t0)
 
@@ -381,7 +351,6 @@ def compare_one_seed(cfg: ExperimentConfig, model, sched, prompts, seed: int,
 def cmd_compare(cfg: ExperimentConfig) -> dict:
     """Random vs normal vs variance-aware calibration at equal K."""
     t0 = time.monotonic()
-    _ensure_out(cfg)
     model, sched = _require_checkpoint(cfg)
     aspects = load_aspects(cfg)
     prompts = load_or_build_prompts(cfg, aspects)
@@ -398,8 +367,7 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
         for strategy in cal.STRATEGIES:
             rows.append((strategy, s, res[strategy]["fd"], res[strategy]["kl"],
                          res[strategy]["mse"]))
-    _write_table(os.path.join(cfg.out_dir, "compare.tsv"),
-                 ("strategy", "seed", "fd", "kl", "mse"), rows)
+    art.write_tsv(os.path.join(cfg.out_dir, "compare.tsv"), TABLES["compare"], rows)
     means = {
         strategy: float(np.mean([res[strategy]["fd"] for res in results]))
         for strategy in cal.STRATEGIES
@@ -408,7 +376,6 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
         "policy": cfg.policy,
         "metrics": {"kind": "compare", "mean_fd": means,
                     "rows": [list(r) for r in rows]},
-        "size": {},
     }
     return append_result(cfg, "compare", payload, time.monotonic() - t0)
 
@@ -427,17 +394,15 @@ def build_prompt_set_of_size(aspects: cov.AspectSet, n: int, seed: int) -> cov.P
     return cov.PromptSet(prompts=prompts, role="final_set")
 
 
-def cmd_scale(cfg: ExperimentConfig, prompt_counts=None) -> dict:
+def cmd_scale(cfg: ExperimentConfig) -> dict:
     """FD as a function of the calibration prompt-set size."""
     t0 = time.monotonic()
-    _ensure_out(cfg)
     model, sched = _require_checkpoint(cfg)
     aspects = load_aspects(cfg)
     eval_prompts = load_or_build_prompts(cfg, aspects)
-    counts = list(prompt_counts or cfg.scale_counts)
     seeds = [cfg.seed + i for i in range(cfg.scale_seeds)]
     rows = []
-    for n in counts:
+    for n in cfg.scale_counts:
         calib_prompts = build_prompt_set_of_size(aspects, n, cfg.seed)
         covered = cov.global_coverage(calib_prompts)
         uncovered = [a.aspect_id for i, a in enumerate(aspects) if not covered[i]]
@@ -455,12 +420,10 @@ def cmd_scale(cfg: ExperimentConfig, prompt_counts=None) -> dict:
         results = _map_seeds(_one, seeds, cfg.jobs)
         rows.append((n, float(np.mean([r["fd"] for r in results])), len(uncovered),
                      ";".join(uncovered)))
-    _write_table(os.path.join(cfg.out_dir, "scale.tsv"),
-                 ("n_prompts", "mean_fd", "n_uncovered", "uncovered"), rows)
+    art.write_tsv(os.path.join(cfg.out_dir, "scale.tsv"), TABLES["scale"], rows)
     payload = {
         "policy": cfg.policy,
         "metrics": {"kind": "scale", "rows": [list(r) for r in rows]},
-        "size": {},
     }
     return append_result(cfg, "scale", payload, time.monotonic() - t0)
 
@@ -473,7 +436,7 @@ def read_results(results_dir: str):
     path = os.path.join(results_dir, RESULTS_FILE)
     if not os.path.exists(path):
         raise ConfigError(f"no results file at {path}")
-    records = list(_unique_records(path).values())  # reports treat reruns as one run
+    records = list(_records_by_run_id(path).values())
     if not records:
         raise ConfigError(f"results file {path} is empty")
     return records
@@ -486,7 +449,6 @@ def cmd_report(results_dir: str, out_dir: str = None) -> dict:
     regeneration from the same directory is byte-identical.
     """
     out_dir = out_dir or results_dir
-    os.makedirs(out_dir, exist_ok=True)
     records = read_results(results_dir)
 
     by_policy = {}
@@ -518,22 +480,19 @@ def cmd_report(results_dir: str, out_dir: str = None) -> dict:
             float(np.mean(slot["kl"])) if slot["kl"] else "",
             "n/a",  # FAD needs an audio embedding; out of scope at desk scale
         ))
-    _write_table(os.path.join(out_dir, "summary.tsv"),
-                 ("policy", "size_reduction_pct", "fd", "kl", "fad"), summary_rows)
+    art.write_tsv(os.path.join(out_dir, "summary.tsv"),
+                  ("policy", "size_reduction_pct", "fd", "kl", "fad"), summary_rows)
 
-    fig_specs = {
-        "sweep": ("fig_bitwidth_sweep.tsv", ("policy", "mean_fd", "mean_mse")),
-        "compare": ("fig_strategy_comparison.tsv", ("strategy", "seed", "fd", "kl", "mse")),
-        "scale": ("fig_prompt_scaling.tsv", ("n_prompts", "mean_fd", "n_uncovered", "uncovered")),
-    }
+    figures = {"sweep": "fig_bitwidth_sweep.tsv", "compare": "fig_strategy_comparison.tsv",
+               "scale": "fig_prompt_scaling.tsv"}
     written = ["summary.tsv"]
-    for kind, (fname, header) in fig_specs.items():
+    for kind, fname in figures.items():
         rows = []
         for rec in records:
             metrics = rec.get("metrics", {})
             if metrics.get("kind") == kind:
                 rows.extend(tuple(r) for r in metrics.get("rows", []))
         if rows:
-            _write_table(os.path.join(out_dir, fname), header, rows)
+            art.write_tsv(os.path.join(out_dir, fname), TABLES[kind], rows)
             written.append(fname)
     return {"written": written, "n_records": len(records)}

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numeric_core as nc
+from .artifacts import read_tsv, write_tsv
 from .errors import InsufficientDataError
 
 
@@ -181,34 +182,18 @@ PROFILE_COLUMNS = ("layer", "timestep", "count", "mean", "variance", "p")
 
 def export_profile(profile: LayerVarianceProfile, path) -> None:
     """Tab-separated profile export, one row per cell, header first."""
-    with open(path, "w") as fh:
-        fh.write(f"# tau_fraction={profile.tau_fraction!r}\ttau_var={profile.tau_var!r}\n")
-        fh.write("\t".join(PROFILE_COLUMNS) + "\n")
-        for c in profile.cells:
-            layer, t = c
-            fh.write(
-                f"{layer}\t{t}\t{profile.counts[c]}\t{profile.means[c]!r}\t"
-                f"{profile.variances[c]!r}\t{profile.probabilities[c]!r}\n"
-            )
+    rows = [(*c, profile.counts[c], profile.means[c], profile.variances[c],
+             profile.probabilities[c]) for c in profile.cells]
+    write_tsv(path, PROFILE_COLUMNS, rows,
+              comment={"tau_fraction": profile.tau_fraction, "tau_var": profile.tau_var})
 
 
 def load_profile(path) -> LayerVarianceProfile:
-    tau_fraction = 0.10
-    variances, counts, means = {}, {}, {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                for tok in line[1:].split("\t"):
-                    k, _, v = tok.strip().partition("=")
-                    if k == "tau_fraction":
-                        tau_fraction = float(v)
-                continue
-            if line.startswith("layer\t") or not line:
-                continue
-            layer, t, count, mean, var = line.split("\t")[:5]  # older files add sigma_hat
-            key = (layer, int(t))
-            variances[key] = float(var)
-            counts[key] = int(count)
-            means[key] = float(mean)
-    return profile_from_variances(variances, tau_fraction, counts=counts, means=means)
+    # columns by name: older files add a sigma_hat column
+    comment, rows = read_tsv(path, {"layer": str, "timestep": int, "count": int, "mean": float,
+                                    "variance": float})
+    cells = {(r["layer"], r["timestep"]): r for r in rows}
+    return profile_from_variances({c: r["variance"] for c, r in cells.items()},
+                                  float(comment.get("tau_fraction", 0.10)),
+                                  counts={c: r["count"] for c, r in cells.items()},
+                                  means={c: r["mean"] for c, r in cells.items()})

@@ -12,13 +12,13 @@ Rounding is half-away-from-zero, frozen for cross-platform determinism.
 """
 
 import functools
-import json
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numeric_core as nc
+from .artifacts import read_json, write_json
 from .diffusion import AffineLayer, DenoiserModel, checkpoint_document, model_from_document
 from .errors import CalibrationCoverageError
 
@@ -303,14 +303,11 @@ def save_quantized_checkpoint(qmodel: QuantizedModel, sched, path) -> None:
         }
         for name in qmodel.model.layer_names
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_quantized_checkpoint(path):
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     model, sched = model_from_document(doc)
 
     def _bits(tok):
@@ -318,14 +315,8 @@ def load_quantized_checkpoint(path):
 
     per_layer = {name: (_bits(wb), _bits(ab)) for name, (wb, ab) in doc["policy"]["per_layer"].items()}
     policy = PrecisionPolicy(per_layer, notation=doc["policy"]["notation"])
-    wp = {
-        name: QuantParams.from_dict(rec["weight"]) if rec["weight"] else None
-        for name, rec in doc["quant_params"].items()
-    }
-    ap = {
-        name: QuantParams.from_dict(rec["activation"]) if rec["activation"] else None
-        for name, rec in doc["quant_params"].items()
-    }
+    wp, ap = ({name: QuantParams.from_dict(rec[kind]) if rec[kind] else None
+               for name, rec in doc["quant_params"].items()} for kind in ("weight", "activation"))
     for lyr in model.layers:  # the saved weights are already fake-quantized
         lyr.quantizer = _input_quantizer(ap[lyr.name])
     return QuantizedModel(model, policy, wp, ap), sched

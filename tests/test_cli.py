@@ -3,8 +3,11 @@
 import hashlib
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptqkit import cli
 from ptqkit import experiments as exp
@@ -99,9 +102,15 @@ class TestExitCodes:
         path.write_text('{"mystery": true}')
         assert cli.main(["train", "--config", str(path)]) == cli.EXIT_CONFIG
 
-    def test_missing_checkpoint_is_config_error(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    def test_missing_or_truncated_checkpoint_is_config_error(self, tmp_path, capsys, damage):
         cfgfile = _write_config(tmp_path)
-        assert cli.main(["profile", "--config", cfgfile]) == cli.EXIT_CONFIG
+        if damage == "truncated":  # as a train killed mid-write by an older version left it
+            assert cli.main(["train", "--config", cfgfile]) == cli.EXIT_OK
+            path = tmp_path / "run" / "model.json"
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        assert cli.main(["quantize", "--config", cfgfile]) == cli.EXIT_CONFIG
+        assert "model.json" in capsys.readouterr().err
 
     def test_bad_policy_is_config_error(self, tmp_path):
         cfgfile = _write_config(tmp_path)
@@ -137,14 +146,26 @@ class TestExitCodes:
         cfgfile = _write_config(tmp_path)
         assert cli.main(["prompts", "--config", cfgfile]) == cli.EXIT_GENERATOR
 
-    def test_report_without_results_is_config_error(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["missing", "torn"])
+    def test_missing_or_torn_results_is_config_error(self, tmp_path, capsys, damage):
+        if damage == "torn":
+            (tmp_path / "results.jsonl").write_text('{"run_id": "a", "policy": "8W8A"}\n{"run_id": "b", "po')
         assert cli.main(["report", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert "results.jsonl" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad, field", [
         ({"time_embed_dim": 7}, "time_embed_dim must be even"),
         ({"k": "abc"}, "k must be an integer"),
         ({"k": 2.5}, "k must be an integer"),
         ({"epochs": 0}, "epochs must be an integer >= 1"),
+        ({"batch_size": 100000}, "batch_size 100000 exceeds"),
+        ({"n_eval": -5}, "n_eval must be an integer >= 1"),
+        ({"scale_seeds": 0}, "scale_seeds must be an integer >= 1"),
+        ({"tau_fraction": -1}, "tau_fraction must be a number in [0, 1]"),
+        ({"act_percentile": 40}, "act_percentile must be a number in (50, 100]"),
+        ({"hidden": [8, 0]}, "hidden must be a list of positive integers"),
+        ({"scale_counts": []}, "scale_counts must be a non-empty list"),
+        ({"sweep_bits": [16, 3]}, "sweep_bits must be a non-empty list of bitwidths"),
     ])
     def test_bad_field_values_are_config_errors(self, tmp_path, capsys, bad, field):
         cfgfile = _write_config(tmp_path, **bad)
@@ -152,6 +173,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and field in err
         assert not (tmp_path / "run").exists()  # rejected before any work
+
+
+_ANY_VALUE = st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.text(max_size=3),
+                       st.floats(-1e3, 1e3), st.sampled_from([float("nan"), float("inf")]),
+                       st.lists(st.integers(-2, 20), max_size=3))
+_COUNT = st.integers(1, 40)
+_VALID = {  # the checked keys, each with values it accepts
+    **{key: _COUNT for key in ("batch_size", "n_train_per_prompt", "n_eval", "n_profile_chains",
+                               "sweep_seeds", "compare_seeds", "scale_seeds")},
+    "tau_fraction": st.floats(0, 1),
+    "act_percentile": st.floats(50, 100, exclude_min=True),
+    "hidden": st.lists(st.integers(1, 12), max_size=3),
+    "scale_counts": st.lists(_COUNT, min_size=1, max_size=3),
+    "sweep_bits": st.lists(st.sampled_from([4, 8, 16]), min_size=1, max_size=3),
+}
+# a key takes an accepted value three times in four, so that train runs in some of the cases
+_CONFIGS = st.fixed_dictionaries({}, optional={
+    k: st.integers(0, 3).flatmap(lambda i, v=v: v if i else _ANY_VALUE) for k, v in _VALID.items()})
+
+
+class TestConfigProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(_CONFIGS)
+    def test_prompts_and_train_exit_0_or_2(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as fh:
+                json.dump({"epochs": 1, "n_train_per_prompt": 4, "hidden": [4], **doc,
+                           "out_dir": os.path.join(tmp, "run")}, fh)
+            for cmd in ("prompts", "train"):
+                assert cli.main([cmd, "--config", path]) in (cli.EXIT_OK, cli.EXIT_CONFIG)
 
 
 class TestCliBehavior:
@@ -196,12 +248,19 @@ class TestCliBehavior:
         assert cli.main(["report", str(run)]) == cli.EXIT_OK
         assert (run / "summary.tsv").exists()
 
-    def test_scale_counts_flag(self, tmp_path):
+    def test_scale_counts_flag(self, tmp_path, capsys):
         cfgfile = _write_config(tmp_path, scale_seeds=1, policy="8WfullA")
         assert cli.main(["train", "--config", cfgfile]) == cli.EXIT_OK
+        capsys.readouterr()
         assert cli.main(["scale", "--config", cfgfile, "--counts", "2,3"]) == cli.EXIT_OK
         with open(tmp_path / "run" / "scale.tsv") as fh:
             assert len(fh.read().splitlines()) == 3  # header + 2 counts
+        # the flag overrides scale_counts, so the run has its own run_id
+        printed = json.loads(capsys.readouterr().out.strip())
+        assert printed["config_hash"] == load_config(cfgfile, {"scale_counts": [2, 3]}).config_hash()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["scale", "--config", cfgfile, "--counts", "2,x"])
+        assert exc.value.code == cli.EXIT_CONFIG
 
     def test_report_regeneration_byte_identical(self, tmp_path):
         cfgfile = _write_config(tmp_path)

@@ -1,6 +1,7 @@
 """Aspect coverage vectors, redundancy scoring, and prompt augmentation."""
 
 import itertools
+import json
 
 import pytest
 
@@ -215,7 +216,8 @@ class TestPromptSetIO:
 
     def test_aspect_file_round_trip(self, tmp_path, aspects):
         path = tmp_path / "aspects.json"
-        aspects.to_file(path)
+        path.write_text(json.dumps([{"id": a.aspect_id, "name": a.name, "phrases": list(a.lexicon)}
+                                    for a in aspects]))
         loaded = cov.AspectSet.from_file(path)
         assert [(a.aspect_id, a.name, a.lexicon) for a in loaded] == \
             [(a.aspect_id, a.name, a.lexicon) for a in aspects]

@@ -85,8 +85,9 @@ class TestCompare:
 
 class TestScale:
     def test_row_count_and_uncovered_reporting(self, tmp_path, pipeline_cfg):
-        cfg = _copy_pipeline(pipeline_cfg, tmp_path / "scale", scale_seeds=1, n_eval=8, k=64)
-        record = exp.cmd_scale(cfg, prompt_counts=[2, 3])
+        cfg = _copy_pipeline(pipeline_cfg, tmp_path / "scale", scale_seeds=1, n_eval=8, k=64,
+                             scale_counts=[2, 3])
+        record = exp.cmd_scale(cfg)
         rows = record["metrics"]["rows"]
         assert len(rows) == 2
         # fewer prompts than aspects: pigeonhole forces uncovered aspects
