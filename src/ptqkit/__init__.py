@@ -2,7 +2,7 @@
 conditional diffusion model.
 
 Subpackages:
-    numeric_core  -- tensors, seeded RNG, basic reductions
+    numeric_core  -- tensor coercion, seeded RNG
     diffusion     -- the toy DDPM (schedules, training, generation)
     quantizer     -- affine quantization, precision policies, size accounting
     profiler      -- streaming activation statistics and variance profiles
@@ -14,5 +14,3 @@ Subpackages:
 """
 
 __version__ = "0.1.0"
-
-from .numeric_core import RngStream, gaussian_sample, mean_and_variance, tensor2d  # noqa: F401

@@ -117,7 +117,7 @@ def _build_set(model, sched, prompts, cells, rng, strategy, K, profile_hash="", 
         raise ValueError("prompt set is empty")
     # round-robin over prompts so every prompt contributes
     ps = [prompts.prompts[i % len(prompts.prompts)] for i in range(len(cells))]
-    conds = np.array([condition_embedding(p.text, p.bits, model.cond_embed_dim).vector for p in ps])
+    conds = np.array([condition_embedding(p.text, p.bits, model.cond_embed_dim) for p in ps])
     layers, timesteps = zip(*cells)
     acts = _capture(model, sched, conds, timesteps, layers,
                     [rng.child(1000, i) for i in range(len(cells))])

@@ -9,7 +9,6 @@ Exit codes:
     2  configuration error (bad config file, key, policy, or missing path)
     3  data error (insufficient statistics, calibration coverage)
     4  numeric error (training divergence, degenerate profile)
-    5  caption-generator transport error
     1  anything else
 """
 
@@ -18,12 +17,12 @@ import json
 import sys
 
 from . import experiments as exp
+from .calibration import STRATEGIES
 from .config import load_config
 from .errors import (
     CalibrationCoverageError,
     ConfigError,
     DegenerateProfileError,
-    GeneratorError,
     InsufficientDataError,
     TrainingDivergenceError,
 )
@@ -32,7 +31,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-EXIT_GENERATOR = 5
 
 _COMMANDS = {
     "train": exp.cmd_train,
@@ -67,8 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "quantize":
             p.add_argument("--policy", help="policy string such as 8W16A")
         if name == "calibset":
-            p.add_argument("--strategy",
-                           choices=("variance_aware", "random_uniform", "normal_timestep"))
+            p.add_argument("--strategy", choices=STRATEGIES)
         if name == "scale":
             p.add_argument("--counts", type=_comma_ints, help="comma-separated prompt counts")
 
@@ -104,9 +101,6 @@ def main(argv=None) -> int:
     except (TrainingDivergenceError, DegenerateProfileError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except GeneratorError as exc:
-        print(f"generator error: {exc}", file=sys.stderr)
-        return EXIT_GENERATOR
     except Exception as exc:  # pragma: no cover - last resort
         print(f"error: {exc}", file=sys.stderr)
         return 1

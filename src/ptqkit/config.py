@@ -7,11 +7,14 @@ out of the hash: it changes how seeds are scheduled, never the results.
 """
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass, field
 
 from .artifacts import doc_hash, read_json
+from .calibration import STRATEGIES
 from .errors import ConfigError
+from .quantizer import SUPPORTED_BITWIDTHS, parse_policy_string
 
 
 @dataclass
@@ -46,7 +49,6 @@ class ExperimentConfig:
     # evaluation / experiments
     n_eval: int = 64
     n_profile_chains: int = 2
-    reservoir_size: int = 64
     act_range_method: str = "percentile"
     act_percentile: float = 99.9
     sweep_bits: list = field(default_factory=lambda: [16, 8, 4])
@@ -102,12 +104,11 @@ def _int_list(ok, empty_ok=False):
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    from .quantizer import SUPPORTED_BITWIDTHS, parse_policy_string
-
-    for name, low in (("k", 1), ("timesteps", 2), ("epochs", 1), ("time_embed_dim", 2),
-                      ("batch_size", 1), ("n_train_per_prompt", 1), ("n_eval", 1),
-                      ("n_profile_chains", 1), ("sweep_seeds", 1), ("compare_seeds", 1),
-                      ("scale_seeds", 1)):
+    for name, low in (("seed", 0), ("k", 1), ("i_max", 1), ("tau_redundancy", 0),
+                      ("timesteps", 2), ("data_dim", 1), ("time_embed_dim", 2),
+                      ("cond_embed_dim", 1), ("epochs", 1), ("batch_size", 1),
+                      ("n_train_per_prompt", 1), ("n_eval", 1), ("n_profile_chains", 1),
+                      ("sweep_seeds", 1), ("compare_seeds", 1), ("scale_seeds", 1)):
         value = getattr(cfg, name)
         if not _is_int(value) or value < low:
             raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
@@ -115,7 +116,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         # the sinusoidal embedding is sin/cos pairs, so the model input width needs it even
         raise ConfigError(f"time_embed_dim must be even, got {cfg.time_embed_dim}")
     number = lambda v: _is_int(v) or isinstance(v, float)  # noqa: E731
+    one_of = lambda *opts: (f"one of {opts}", lambda v: v in opts)  # noqa: E731
     for name, what, ok in (
+            ("strategy", *one_of(*STRATEGIES)),
+            ("schedule", *one_of("linear_beta", "cosine")),
+            ("act_range_method", *one_of("minmax", "percentile")),
+            ("learning_rate", "a finite number > 0", lambda v: number(v) and 0 < v < math.inf),
             ("tau_fraction", "a number in [0, 1]", lambda v: number(v) and 0 <= v <= 1),
             ("act_percentile", "a number in (50, 100]", lambda v: number(v) and 50 < v <= 100),
             ("hidden", "a list of positive integers", _int_list(lambda x: x >= 1, empty_ok=True)),
@@ -128,8 +134,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         parse_policy_string(cfg.policy)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.strategy not in ("variance_aware", "random_uniform", "normal_timestep"):
-        raise ConfigError(f"unknown strategy {cfg.strategy!r}")
     for attr in ("lexicon", "seed_prompts"):
         p = getattr(cfg, attr)
         if p and not os.path.exists(p):

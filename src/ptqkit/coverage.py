@@ -12,15 +12,12 @@ editing the lexicon file or subclassing AspectSet.
 """
 
 import hashlib
-import json
-import os
 import string
-import urllib.request
 from dataclasses import dataclass, field
 from importlib import resources
 
 from .artifacts import read_json, read_tsv, write_tsv
-from .errors import GeneratorError
+from .errors import ConfigError
 
 _PUNCT_TABLE = str.maketrans({ch: " " for ch in string.punctuation})
 
@@ -70,7 +67,15 @@ class AspectSet:
 
     @classmethod
     def from_file(cls, path) -> "AspectSet":
-        return cls([Aspect(r["id"], r["name"], tuple(r["phrases"])) for r in read_json(path)])
+        """A non-empty JSON list of ``{"id", "name", "phrases"}`` records with unique ids."""
+        doc = read_json(path)
+        try:
+            if not isinstance(doc, list) or not doc:
+                raise ValueError("the document is not a non-empty list")
+            return cls([Aspect(r["id"], r["name"], tuple(r["phrases"])) for r in doc])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"lexicon {path} needs a non-empty list of records with an id, a "
+                              f"name and non-empty phrases, unique ids: {exc!r}") from exc
 
 
 def _phrase_in_tokens(phrase: str, tokens) -> bool:
@@ -116,15 +121,8 @@ class PromptSet:
 
 
 def global_coverage(prompt_set: PromptSet) -> tuple:
-    """Elementwise max of member vectors; empty set -> all zeros (length unknown -> ())."""
-    if not prompt_set.prompts:
-        return ()
-    width = len(prompt_set.prompts[0].bits)
-    out = [0] * width
-    for p in prompt_set.prompts:
-        for i, b in enumerate(p.bits):
-            out[i] = max(out[i], b)
-    return tuple(out)
+    """Elementwise max of member vectors; an empty set has no known width -> ()."""
+    return tuple(map(max, zip(*(p.bits for p in prompt_set.prompts))))
 
 
 def redundancy_score(prompt_set: PromptSet) -> int:
@@ -182,47 +180,11 @@ class MockCaptionGenerator(CaptionGenerator):
         return f"a recording of {phrase}"
 
 
-class HttpCaptionGenerator(CaptionGenerator):
-    """Optional HTTP backend; never used unless explicitly constructed.
-
-    POSTs {"aspect": ..., "context": [...]} to the endpoint with a bearer
-    token from the named environment variable, expects {"caption": "..."}.
-    """
-
-    def __init__(self, url: str, api_key_env: str = "PTQKIT_GENERATOR_API_KEY",
-                 timeout: float = 10.0, max_context: int = 16):
-        self.url = url
-        self.api_key_env = api_key_env
-        self.timeout = timeout
-        self.max_context = max_context
-
-    def generate(self, aspect: Aspect, context_texts) -> str:
-        payload = json.dumps(
-            {"aspect": aspect.name, "context": list(context_texts)[: self.max_context]}
-        ).encode()
-        req = urllib.request.Request(self.url, data=payload, method="POST",
-                                     headers={"Content-Type": "application/json"})
-        key = os.environ.get(self.api_key_env)
-        if key:
-            req.add_header("Authorization", f"Bearer {key}")
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                body = json.loads(resp.read().decode())
-        except Exception as exc:  # transport / parse failure
-            raise GeneratorError(aspect.aspect_id, str(exc)) from exc
-        caption = body.get("caption")
-        if not isinstance(caption, str) or not caption.strip():
-            raise GeneratorError(aspect.aspect_id, "response carried no caption")
-        return caption
-
-
 @dataclass
 class AugmentReport:
     coverage_rounds: int = 0
     redundancy_rounds: int = 0
     generator_calls: int = 0
-    admitted: list = field(default_factory=list)
-    replaced: list = field(default_factory=list)
     uncovered: list = field(default_factory=list)
     final_redundancy: int = 0
 
@@ -242,15 +204,7 @@ def augment(seed_set: PromptSet, aspects: AspectSet, gen: CaptionGenerator,
     seed_ids = {p.prompt_id for p in seed_set.prompts}
     report = AugmentReport()
     next_id = 0
-
-    def _coverage():
-        out = [0] * len(aspects)
-        for p in prompts:
-            for i, b in enumerate(p.bits):
-                out[i] = max(out[i], b)
-        return out
-
-    cov = _coverage()
+    cov = list(global_coverage(seed_set)) or [0] * len(aspects)
     rounds = 0
     while not all(cov) and rounds < i_max:
         rounds += 1
@@ -265,7 +219,6 @@ def augment(seed_set: PromptSet, aspects: AspectSet, gen: CaptionGenerator,
                 pid = f"gen-{next_id:04d}"
                 next_id += 1
                 prompts.append(Prompt(prompt_id=pid, text=text, bits=bits))
-                report.admitted.append(pid)
                 for i, b in enumerate(bits):
                     cov[i] = max(cov[i], b)
     report.coverage_rounds = rounds
@@ -304,12 +257,11 @@ def augment(seed_set: PromptSet, aspects: AspectSet, gen: CaptionGenerator,
         next_id += 1
         prompts = [p for p in prompts if p.prompt_id != victim.prompt_id]
         prompts.append(Prompt(prompt_id=pid, text=text, bits=bits))
-        report.replaced.append(victim.prompt_id)
     report.redundancy_rounds = rounds
 
-    cov = _coverage()
-    report.uncovered = [a.aspect_id for idx, a in enumerate(aspects) if not cov[idx]]
     final = PromptSet(prompts=prompts, role="final_set")
+    cov = global_coverage(final) or [0] * len(aspects)
+    report.uncovered = [a.aspect_id for idx, a in enumerate(aspects) if not cov[idx]]
     report.final_redundancy = redundancy_score(final)
     return final, report
 

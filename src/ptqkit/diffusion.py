@@ -71,21 +71,6 @@ class LatentState:
             raise ValueError("timestep must be >= 0")
 
 
-@dataclass(frozen=True)
-class ConditionEmbedding:
-    """Deterministic unit-norm prompt embedding.
-
-    Built from the prompt's aspect-coverage bits plus a hashed token bag,
-    so identical text always maps to the identical vector.
-    """
-
-    vector: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.vector.size
-
-
 def _stable_floats(tag: str, n: int) -> np.ndarray:
     """n floats in [-1, 1] derived from sha256(tag)."""
     out = np.empty(n)
@@ -103,8 +88,9 @@ def _stable_floats(tag: str, n: int) -> np.ndarray:
     return out
 
 
-def condition_embedding(text: str, coverage_bits, dim: int) -> ConditionEmbedding:
-    """Embed a prompt from its coverage bits and a hashed bag of tokens."""
+def condition_embedding(text: str, coverage_bits, dim: int) -> np.ndarray:
+    """Deterministic unit-norm prompt embedding, from the prompt's coverage bits
+    and a hashed bag of its tokens, so identical text maps to the identical vector."""
     if not text.strip():
         raise ValueError("prompt text must be non-empty")
     v = np.zeros(dim)
@@ -121,7 +107,7 @@ def condition_embedding(text: str, coverage_bits, dim: int) -> ConditionEmbeddin
     if norm == 0.0:
         v[0] = 1.0
         norm = 1.0
-    return ConditionEmbedding(vector=v / norm)
+    return v / norm
 
 
 def time_embedding(t, dim: int, T: int) -> np.ndarray:
@@ -221,9 +207,8 @@ class DenoiserModel:
         """Rows [x | time embedding | condition]; ``t`` and ``cond`` are shared or per row."""
         x = nc.tensor2d(x)
         te = time_embedding_table(self.time_embed_dim, T)[t]
-        c = cond.vector if isinstance(cond, ConditionEmbedding) else cond
         return np.hstack([x, np.broadcast_to(te, (len(x), self.time_embed_dim)),
-                          np.broadcast_to(c, (len(x), self.cond_embed_dim))])
+                          np.broadcast_to(cond, (len(x), self.cond_embed_dim))])
 
     def forward(self, u: np.ndarray, tap=None, t: int = None, caches: list = None) -> np.ndarray:
         """Forward pass; each layer's *input*, after its quantizer if it has one, is
@@ -242,22 +227,13 @@ class DenoiserModel:
         return h
 
 
-def forward_diffuse(x0: np.ndarray, t: int, sched: NoiseSchedule, rng: nc.RngStream) -> LatentState:
-    """One-shot forward noising: sqrt(ab_t) x0 + sqrt(1 - ab_t) eps."""
-    x0 = nc.tensor2d(x0)
-    if not (1 <= t <= sched.T):
-        raise ValueError(f"timestep {t} outside [1, {sched.T}]")
-    ab = sched.alpha_bar[t - 1]
-    eps = nc.gaussian_sample(rng, x0.shape[0], x0.shape[1])
-    return LatentState(t=t, value=math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * eps)
-
-
 def denoise_step(model, state: LatentState, cond, sched: NoiseSchedule, noise,
                  tap=None) -> LatentState:
     """One ancestral reverse step of every row; t == 1 is deterministic (no added noise).
 
     Uses the posterior variance beta_tilde_t; the final state has t
-    decremented by one.  ``noise`` is a stream to draw from or the noise itself.
+    decremented by one.  ``noise`` is the step's standard-normal noise, one
+    value per state entry (unused at t == 1).
     """
     t = state.t
     if t < 1:
@@ -272,8 +248,6 @@ def denoise_step(model, state: LatentState, cond, sched: NoiseSchedule, noise,
     mean = (state.value - beta_t / math.sqrt(1.0 - ab_t) * eps_hat) / math.sqrt(alpha_t)
     if t > 1:
         var = beta_t * (1.0 - ab_prev) / (1.0 - ab_t)
-        if isinstance(noise, nc.RngStream):
-            noise = nc.gaussian_sample(noise, *state.value.shape)
         x_prev = mean + math.sqrt(var) * noise
     else:
         x_prev = mean
@@ -311,11 +285,6 @@ def _loss_and_grads(model: DenoiserModel, u: np.ndarray, eps: np.ndarray):
     return loss, grads
 
 
-def training_loss(model: DenoiserModel, u: np.ndarray, eps: np.ndarray) -> float:
-    """Loss only; used by the finite-difference gradient oracle."""
-    return float(np.mean((model.forward(u) - eps) ** 2))
-
-
 def training_batch(model: DenoiserModel, x0: np.ndarray, conds: np.ndarray, sched: NoiseSchedule,
                    ts: np.ndarray, eps: np.ndarray):
     """Assemble (u, eps) for a fixed draw of timesteps and noise; ``conds`` has one row per sample."""
@@ -334,7 +303,7 @@ def train(model: DenoiserModel, dataset: np.ndarray, conds, sched: NoiseSchedule
     if len(conds) != n:
         raise ValueError("one condition embedding per dataset row is required")
     model = model.copy()
-    cond_rows = np.array([c.vector for c in conds])
+    cond_rows = np.array(conds)
     losses = []
     for epoch in range(hyper.epochs):
         erng = rng.child(epoch)
@@ -362,7 +331,7 @@ def train(model: DenoiserModel, dataset: np.ndarray, conds, sched: NoiseSchedule
 
 def chain_noise(rngs, T: int, data_dim: int, rows: int = 1) -> np.ndarray:
     """(T, len(rngs) * rows, data_dim) noise for :func:`reverse_chains`: stream j's T
-    blocks, for its ``rows`` rows, are its T sequential gaussian_sample draws."""
+    blocks, for its ``rows`` rows, are its T sequential standard_normal draws."""
     noise = np.empty((T, len(rngs) * rows, data_dim))
     for j, rng in enumerate(rngs):
         blocks = rng.standard_normal_blocks(T, rows * data_dim)
@@ -394,20 +363,6 @@ def reverse_chains(model, sched: NoiseSchedule, conds: np.ndarray, noise: np.nda
     return out
 
 
-def generate(model, cond: ConditionEmbedding, sched: NoiseSchedule, n: int,
-             rng: nc.RngStream, tap=None) -> np.ndarray:
-    """Run n independent T-step reverse chains from pure noise, as one batch.
-
-    Chain i draws from its own child stream rng.child(i), so the output is a
-    pure function of (model, cond, sched, n, rng key); the tap sees T * L
-    offers of n rows each.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    noise = chain_noise([rng.child(i) for i in range(n)], sched.T, model.data_dim)
-    return reverse_chains(model, sched, np.tile(cond.vector, (n, 1)), noise, tap=tap)
-
-
 def make_mixture_dataset(conds, n_per_cond: int, rng: nc.RngStream, data_dim: int = 2,
                          mode_radius: float = 3.0, noise_std: float = 1.0):
     """Synthetic 2-component Gaussian mixture whose modes depend on the condition.
@@ -429,10 +384,10 @@ def make_mixture_dataset(conds, n_per_cond: int, rng: nc.RngStream, data_dim: in
     return np.vstack(xs), row_conds
 
 
-def mixture_modes(cond: ConditionEmbedding, data_dim: int = 2, mode_radius: float = 3.0) -> np.ndarray:
+def mixture_modes(cond: np.ndarray, data_dim: int = 2, mode_radius: float = 3.0) -> np.ndarray:
     """The two mode centers the dataset generator uses for this condition."""
-    proj = nc.RngStream(0xD1F, 0).standard_normal(data_dim * cond.dim).reshape(data_dim, cond.dim)
-    mu = proj @ cond.vector
+    proj = nc.RngStream(0xD1F, 0).standard_normal(data_dim * cond.size).reshape(data_dim, cond.size)
+    mu = proj @ cond
     mu = mode_radius * mu / max(float(np.linalg.norm(mu)), 1e-9)
     return np.vstack([mu, -mu])
 

@@ -34,13 +34,5 @@ class DegenerateProfileError(RuntimeError):
     """Variance threshold fallback exhausted without any eligible cell."""
 
 
-class GeneratorError(RuntimeError):
-    """The caption generator backend failed."""
-
-    def __init__(self, aspect_id: str, message: str):
-        self.aspect_id = aspect_id
-        super().__init__(f"caption generator failed while filling aspect {aspect_id!r}: {message}")
-
-
 class ConfigError(ValueError):
     """Bad configuration file, key, or referenced path."""

@@ -48,6 +48,9 @@ def build_prompts(cfg: ExperimentConfig, aspects: cov.AspectSet):
     """Seed prompts (file or empty) augmented to full coverage with the mock."""
     if cfg.seed_prompts:
         seed_set = cov.load_prompt_set(cfg.seed_prompts)
+        if any(len(p.bits) != len(aspects) for p in seed_set.prompts):
+            raise ConfigError(f"seed prompts {cfg.seed_prompts} carry coverage bits for another "
+                              f"aspect set than the {len(aspects)} aspects in use")
     else:
         seed_set = cov.PromptSet(prompts=[], role="random_seed_set")
     gen = cov.MockCaptionGenerator(aspects, seed=cfg.seed)
@@ -76,9 +79,9 @@ def _conds_for(prompts: cov.PromptSet, cond_dim: int):
 
 def _chain_rows(prompts: cov.PromptSet, cond_dim: int, per: int, rng: nc.RngStream, T: int,
                 data_dim: int):
-    """Condition rows and noise of ``per`` chains per prompt; chain c of prompt i uses
-    rng.child(i, c), the stream ``generate(..., rng.child(i))`` gives it."""
-    conds = np.array([c.vector for c in _conds_for(prompts, cond_dim)]).reshape(-1, cond_dim)
+    """Condition rows and noise of ``per`` chains per prompt; chain c of prompt i
+    draws from rng.child(i, c)."""
+    conds = np.array(_conds_for(prompts, cond_dim)).reshape(-1, cond_dim)
     rngs = [rng.child(i, c) for i in range(len(conds)) for c in range(per)]
     return np.repeat(conds, per, axis=0), dif.chain_noise(rngs, T, data_dim)
 
@@ -188,8 +191,7 @@ def cmd_prompts(cfg: ExperimentConfig) -> dict:
 
 
 def _profile_for(model, sched, prompts, cfg: ExperimentConfig, seed: int):
-    tap = prof.ActivationTap(model.layer_names, reservoir_size=cfg.reservoir_size,
-                             rng=nc.RngStream(seed, 40))
+    tap = prof.ActivationTap(model.layer_names)
     conds, noise = _chain_rows(prompts, cfg.cond_embed_dim, cfg.n_profile_chains,
                                nc.RngStream(seed, 41), sched.T, model.data_dim)
     dif.reverse_chains(model, sched, conds, noise, tap=tap)

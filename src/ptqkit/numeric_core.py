@@ -1,4 +1,4 @@
-"""Tensor coercion, the seeded random stream used everywhere else, and moments.
+"""Tensor coercion and the seeded random stream used everywhere else.
 
 Tensors are plain 2-D float64 numpy arrays in row-major order.  All
 stochastic operations take an explicit :class:`RngStream`; there is no
@@ -78,19 +78,3 @@ class RngStream:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(int(n))
 
-
-def gaussian_sample(rng: RngStream, rows: int, cols: int) -> np.ndarray:
-    """(rows, cols) tensor of i.i.d. standard normals."""
-    if rows < 1 or cols < 1:
-        raise ValueError("rows and cols must be >= 1")
-    return rng.standard_normal(rows * cols).reshape(rows, cols)
-
-
-def mean_and_variance(xs) -> tuple:
-    """Mean and *population* variance (divide by N, not N-1) of a flat array."""
-    xs = np.asarray(xs, dtype=np.float64).ravel()
-    if xs.size == 0:
-        raise ValueError("mean_and_variance requires a non-empty input")
-    mean = float(np.mean(xs))
-    var = float(np.mean((xs - mean) ** 2))
-    return mean, max(var, 0.0)

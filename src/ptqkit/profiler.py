@@ -2,34 +2,31 @@
 
 The tap is handed to the batched reverse-chain engine; every monitored
 layer input at every timestep (all running chains' rows in one offer)
-updates a Welford-style accumulator (exact) and a bounded reservoir of
-raw values (approximate, for distribution comparisons).
+updates an exact Welford-style accumulator of count, mean and variance.
 Cells are keyed by (layer, timestep) so the profile can express both
 "which layer" and "which timestep" carries the variance.
 """
 
-from dataclasses import dataclass, field
+import hashlib
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import numeric_core as nc
 from .artifacts import read_tsv, write_tsv
 from .errors import InsufficientDataError
 
 
 class _CellStats:
-    """One (layer, timestep) cell: running count/mean/M2 plus a reservoir."""
+    """One (layer, timestep) cell: running count, mean and M2."""
 
-    __slots__ = ("count", "mean", "m2", "reservoir", "_filled")
+    __slots__ = ("count", "mean", "m2")
 
-    def __init__(self, reservoir_size: int):
+    def __init__(self):
         self.count = 0
         self.mean = 0.0
         self.m2 = 0.0
-        self.reservoir = np.empty(reservoir_size)
-        self._filled = 0
 
-    def update(self, values: np.ndarray, rng: nc.RngStream) -> None:
+    def update(self, values: np.ndarray) -> None:
         # Chan's parallel combination of (count, mean, M2) -- exact, so the
         # streaming variance matches a two-pass computation bit-for-bit
         # within float tolerance regardless of chunking.
@@ -40,34 +37,11 @@ class _CellStats:
         total = self.count + m
         self.mean += delta * m / total
         self.m2 += b_m2 + delta * delta * self.count * m / total
-        self._reservoir_update(values, rng)
         self.count = total
-
-    def _reservoir_update(self, values: np.ndarray, rng: nc.RngStream) -> None:
-        size = self.reservoir.size
-        if size == 0:
-            return
-        n = values.size
-        i = min(size - self._filled, n)  # fill phase
-        self.reservoir[self._filled:self._filled + i] = values.ravel()[:i]
-        self._filled += i
-        if i >= n:
-            return
-        # algorithm R, vectorized draw of the replacement slots
-        positions = self.count + np.arange(i, n)  # 0-based index of each offer
-        u = rng.uniform(n - i)
-        slots = np.floor(u * (positions + 1)).astype(np.int64)
-        hits = np.nonzero(slots < size)[0]
-        vals = values.ravel()[i:]
-        for k in hits:
-            self.reservoir[slots[k]] = vals[k]
 
     @property
     def variance(self) -> float:
         return self.m2 / self.count if self.count else 0.0
-
-    def reservoir_values(self) -> np.ndarray:
-        return self.reservoir[: self._filled].copy()
 
 
 class ActivationTap:
@@ -77,18 +51,11 @@ class ActivationTap:
     Single-writer by contract; the generation harness serializes calls.
     """
 
-    def __init__(self, monitored_layers, reservoir_size: int = 64, rng: nc.RngStream = None):
+    def __init__(self, monitored_layers):
         self.monitored_layers = frozenset(monitored_layers)
-        self.reservoir_size = int(reservoir_size)
-        self._rng = rng or nc.RngStream(0, 7777)
         self._cells = {}
-        self.offer_count = 0
 
-    def offer(self, layer: str, t: int, values: np.ndarray) -> None:
-        self.offer_count += 1
-        self.record(layer, t, values)
-
-    def record(self, layer: str, t: int, values) -> None:
+    def offer(self, layer: str, t: int, values) -> None:
         if layer not in self.monitored_layers:
             return
         values = np.asarray(values, dtype=np.float64).ravel()
@@ -97,8 +64,8 @@ class ActivationTap:
         key = (layer, int(t))
         cell = self._cells.get(key)
         if cell is None:
-            cell = self._cells[key] = _CellStats(self.reservoir_size)
-        cell.update(values, self._rng)
+            cell = self._cells[key] = _CellStats()
+        cell.update(values)
 
     def cells(self):
         return sorted(self._cells)
@@ -118,14 +85,11 @@ class LayerVarianceProfile:
     probabilities: dict
     tau_var: float
     tau_fraction: float
-    reservoirs: dict = field(default_factory=dict, repr=False)
 
     def probability_vector(self) -> np.ndarray:
         return np.array([self.probabilities[c] for c in self.cells])
 
     def content_hash(self) -> str:
-        import hashlib
-
         parts = []
         for c in self.cells:
             parts.append(f"{c[0]}|{c[1]}|{self.counts[c]}|{self.variances[c]!r}")
@@ -141,7 +105,7 @@ def build_profile(tap: ActivationTap, tau_fraction: float = 0.10) -> LayerVarian
     cells = tap.cells()
     if not cells:
         raise InsufficientDataError("tap recorded no cells")
-    counts, means, variances, reservoirs = {}, {}, {}, {}
+    counts, means, variances = {}, {}, {}
     for key in cells:
         cs = tap.cell_stats(*key)
         if cs.count < 2:
@@ -149,13 +113,11 @@ def build_profile(tap: ActivationTap, tau_fraction: float = 0.10) -> LayerVarian
         counts[key] = cs.count
         means[key] = cs.mean
         variances[key] = cs.variance
-        reservoirs[key] = cs.reservoir_values()
-    return profile_from_variances(variances, tau_fraction, counts=counts, means=means,
-                                  reservoirs=reservoirs)
+    return profile_from_variances(variances, tau_fraction, counts=counts, means=means)
 
 
 def profile_from_variances(variances: dict, tau_fraction: float = 0.10, counts=None,
-                           means=None, reservoirs=None) -> LayerVarianceProfile:
+                           means=None) -> LayerVarianceProfile:
     """Build a profile directly from a {cell: variance} map."""
     cells = sorted(variances)
     total = sum(variances[c] for c in cells)
@@ -173,7 +135,6 @@ def profile_from_variances(variances: dict, tau_fraction: float = 0.10, counts=N
         probabilities=probabilities,
         tau_var=tau_var,
         tau_fraction=tau_fraction,
-        reservoirs=dict(reservoirs) if reservoirs else {},
     )
 
 

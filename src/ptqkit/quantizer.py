@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numeric_core as nc
 from .artifacts import read_json, write_json
 from .diffusion import AffineLayer, DenoiserModel, checkpoint_document, model_from_document
 from .errors import CalibrationCoverageError
@@ -41,19 +40,15 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantParams:
-    """Grid parameters for one tensor."""
+    """Grid parameters for one tensor; the grid [c_min, c_max] follows from the bitwidth."""
 
     scale: float
     zero_point: int
-    c_min: int
-    c_max: int
     bitwidth: int
     mode: str  # "symmetric" | "asymmetric"
 
     def __post_init__(self):
-        lo, hi = grid_bounds(self.bitwidth)
-        if (self.c_min, self.c_max) != (lo, hi):
-            raise ValueError(f"clip bounds {self.c_min, self.c_max} do not match bitwidth {self.bitwidth}")
+        grid_bounds(self.bitwidth)  # rejects an unsupported bitwidth
         if self.scale <= 0.0:
             raise ValueError("scale must be positive")
         if self.mode == "symmetric":
@@ -65,6 +60,14 @@ class QuantParams:
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
 
+    @property
+    def c_min(self) -> int:
+        return grid_bounds(self.bitwidth)[0]
+
+    @property
+    def c_max(self) -> int:
+        return grid_bounds(self.bitwidth)[1]
+
     def to_dict(self) -> dict:
         return {
             "scale": self.scale,
@@ -75,20 +78,8 @@ class QuantParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuantParams":
-        lo, hi = grid_bounds(d["bitwidth"])
-        return cls(scale=d["scale"], zero_point=d["zero_point"], c_min=lo, c_max=hi,
-                   bitwidth=d["bitwidth"], mode=d["mode"])
-
-
-@dataclass
-class QuantizedTensor:
-    codes: np.ndarray  # int64, every code in [c_min, c_max]
-    params: QuantParams
-    shape: tuple
-
-    def __post_init__(self):
-        if np.any(self.codes < self.params.c_min) or np.any(self.codes > self.params.c_max):
-            raise ValueError("codes outside the clip bounds")
+        return cls(scale=d["scale"], zero_point=d["zero_point"], bitwidth=d["bitwidth"],
+                   mode=d["mode"])
 
 
 def fit_params(samples, bitwidth: int, mode: str = "symmetric", method: str = "minmax",
@@ -119,37 +110,25 @@ def fit_params(samples, bitwidth: int, mode: str = "symmetric", method: str = "m
     if mode == "symmetric":
         amax = max(abs(lo), abs(hi))
         scale = amax / hi_grid if amax > 0.0 else DEGENERATE_SCALE
-        return QuantParams(scale=scale, zero_point=0, c_min=lo_grid, c_max=hi_grid,
-                           bitwidth=bitwidth, mode="symmetric")
+        return QuantParams(scale=scale, zero_point=0, bitwidth=bitwidth, mode="symmetric")
     if mode == "asymmetric":
         if hi <= lo:
-            return QuantParams(scale=DEGENERATE_SCALE, zero_point=0, c_min=lo_grid,
-                               c_max=hi_grid, bitwidth=bitwidth, mode="asymmetric")
+            return QuantParams(scale=DEGENERATE_SCALE, zero_point=0, bitwidth=bitwidth,
+                               mode="asymmetric")
         # the grid must be able to represent 0 exactly, otherwise the
         # zero-point clips to the grid edge and in-range values become
         # unrepresentable; widening to include 0 keeps Z inside the grid
         lo, hi = min(lo, 0.0), max(hi, 0.0)
         scale = (hi - lo) / (hi_grid - lo_grid)
         zp = int(np.clip(round_half_away(np.array(lo_grid - lo / scale)), lo_grid, hi_grid))
-        return QuantParams(scale=scale, zero_point=zp, c_min=lo_grid, c_max=hi_grid,
-                           bitwidth=bitwidth, mode="asymmetric")
+        return QuantParams(scale=scale, zero_point=zp, bitwidth=bitwidth, mode="asymmetric")
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def quantize(w: np.ndarray, p: QuantParams) -> QuantizedTensor:
-    w = nc.tensor2d(w)
-    codes = round_half_away(w / p.scale) + p.zero_point
-    codes = np.clip(codes, p.c_min, p.c_max).astype(np.int64)
-    return QuantizedTensor(codes=codes, params=p, shape=w.shape)
-
-
-def dequantize(q: QuantizedTensor) -> np.ndarray:
-    return q.params.scale * (q.codes.astype(np.float64) - q.params.zero_point)
-
-
 def fake_quant(w: np.ndarray, p: QuantParams) -> np.ndarray:
-    """quantize-dequantize in one step."""
-    return dequantize(quantize(w, p))
+    """Quantize-dequantize: the grid code of each value, clipped, back in float64."""
+    codes = np.clip(round_half_away(w / p.scale) + p.zero_point, p.c_min, p.c_max)
+    return p.scale * (codes - p.zero_point)
 
 
 _POLICY_RE = re.compile(r"^(full|\d+)W(full|\d+)A$")

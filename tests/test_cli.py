@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 
@@ -10,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptqkit import cli
-from ptqkit import experiments as exp
 from ptqkit.config import ExperimentConfig, load_config
-from ptqkit.errors import ConfigError, GeneratorError
+from ptqkit.errors import ConfigError
 
 FAST = {
     "epochs": 25,
@@ -138,14 +138,6 @@ class TestExitCodes:
         with pytest.warns(RuntimeWarning):
             assert cli.main(["train", "--config", cfgfile]) == cli.EXIT_NUMERIC
 
-    def test_generator_failure_maps_to_its_own_code(self, tmp_path, monkeypatch):
-        def boom(cfg, aspects):
-            raise GeneratorError("speech", "backend unreachable")
-
-        monkeypatch.setattr(exp, "build_prompts", boom)
-        cfgfile = _write_config(tmp_path)
-        assert cli.main(["prompts", "--config", cfgfile]) == cli.EXIT_GENERATOR
-
     @pytest.mark.parametrize("damage", ["missing", "torn"])
     def test_missing_or_torn_results_is_config_error(self, tmp_path, capsys, damage):
         if damage == "torn":
@@ -166,6 +158,15 @@ class TestExitCodes:
         ({"hidden": [8, 0]}, "hidden must be a list of positive integers"),
         ({"scale_counts": []}, "scale_counts must be a non-empty list"),
         ({"sweep_bits": [16, 3]}, "sweep_bits must be a non-empty list of bitwidths"),
+        ({"i_max": 0}, "i_max must be an integer >= 1"),
+        ({"tau_redundancy": "a"}, "tau_redundancy must be an integer >= 0"),
+        ({"learning_rate": "x"}, "learning_rate must be a finite number > 0"),
+        ({"cond_embed_dim": 0}, "cond_embed_dim must be an integer >= 1"),
+        ({"seed": "s"}, "seed must be an integer >= 0"),
+        ({"data_dim": 0}, "data_dim must be an integer >= 1"),
+        ({"act_range_method": "bogus"}, "act_range_method must be one of"),
+        ({"schedule": "quadratic"}, "schedule must be one of"),
+        ({"strategy": "greedy"}, "strategy must be one of"),
     ])
     def test_bad_field_values_are_config_errors(self, tmp_path, capsys, bad, field):
         cfgfile = _write_config(tmp_path, **bad)
@@ -173,6 +174,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and field in err
         assert not (tmp_path / "run").exists()  # rejected before any work
+
+    @pytest.mark.parametrize("lexicon", [
+        {"not": "a list"},
+        [],
+        [{"name": "Alarm", "phrases": ["alarm"]}],
+        [{"id": "alarm", "phrases": ["alarm"]}],
+        [{"id": "alarm", "name": "Alarm"}],
+        [{"id": "alarm", "name": "Alarm", "phrases": []}],
+        [{"id": "alarm", "name": "Alarm", "phrases": ["alarm"]},
+         {"id": "alarm", "name": "Siren", "phrases": ["siren"]}],
+    ], ids=["not-a-list", "empty", "no-id", "no-name", "no-phrases", "empty-phrases", "duplicate-id"])
+    def test_bad_lexicon_is_config_error(self, tmp_path, capsys, lexicon):
+        path = tmp_path / "lexicon.json"
+        path.write_text(json.dumps(lexicon))
+        cfgfile = _write_config(tmp_path, lexicon=str(path))
+        assert cli.main(["prompts", "--config", cfgfile]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(path) in err
+
+    def test_seed_prompts_of_another_aspect_set_are_config_error(self, tmp_path, capsys):
+        path = tmp_path / "seed.tsv"  # three coverage bits; the default aspect set has 16
+        path.write_text("prompt_id\tbits\ttext\ns-1\t101\ta loud alarm beep\n")
+        cfgfile = _write_config(tmp_path, seed_prompts=str(path))
+        assert cli.main(["prompts", "--config", cfgfile]) == cli.EXIT_CONFIG
+        assert str(path) in capsys.readouterr().err
 
 
 _ANY_VALUE = st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.text(max_size=3),
@@ -187,10 +213,23 @@ _VALID = {  # the checked keys, each with values it accepts
     "hidden": st.lists(st.integers(1, 12), max_size=3),
     "scale_counts": st.lists(_COUNT, min_size=1, max_size=3),
     "sweep_bits": st.lists(st.sampled_from([4, 8, 16]), min_size=1, max_size=3),
+    "seed": st.integers(0, 2**31),
+    "i_max": _COUNT,
+    "tau_redundancy": st.integers(0, 40),
+    "data_dim": st.integers(1, 8),
+    "cond_embed_dim": st.integers(1, 12),
+    "learning_rate": st.floats(1e-4, 0.08),
+    "act_range_method": st.sampled_from(["minmax", "percentile"]),
+    "schedule": st.sampled_from(["linear_beta", "cosine"]),
 }
+# A large learning rate is valid and may make train diverge (exit 4), so besides
+# valid rates learning_rate draws only values that validation must reject.
+_OTHER = {"learning_rate": _ANY_VALUE.filter(
+    lambda v: not (isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < math.inf))}
 # a key takes an accepted value three times in four, so that train runs in some of the cases
 _CONFIGS = st.fixed_dictionaries({}, optional={
-    k: st.integers(0, 3).flatmap(lambda i, v=v: v if i else _ANY_VALUE) for k, v in _VALID.items()})
+    k: st.integers(0, 3).flatmap(lambda i, k=k, v=v: v if i else _OTHER.get(k, _ANY_VALUE))
+    for k, v in _VALID.items()})
 
 
 class TestConfigProperty:

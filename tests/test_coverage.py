@@ -222,11 +222,3 @@ class TestPromptSetIO:
         assert [(a.aspect_id, a.name, a.lexicon) for a in loaded] == \
             [(a.aspect_id, a.name, a.lexicon) for a in aspects]
 
-
-class TestGenerators:
-    def test_http_generator_wraps_transport_failure(self):
-        from ptqkit.errors import GeneratorError
-
-        gen = cov.HttpCaptionGenerator("http://127.0.0.1:1/never", timeout=0.2)
-        with pytest.raises(GeneratorError):
-            gen.generate(_mini_aspects().aspects[0], ["context"])

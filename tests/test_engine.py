@@ -1,13 +1,19 @@
 """The batched reverse-chain engine against a one-chain-at-a-time reference.
 
-The reference below steps each chain alone with ``denoise_step``, drawing
-every step's noise from the chain's own stream, and captures calibration
-samples by replaying each sample's chains separately.  The engine must
+The reference below steps each chain alone with its own ancestral-step
+arithmetic (posterior mean plus sqrt(beta_tilde_t) noise), drawing every
+step's noise from the chain's own stream in sequence, and captures
+calibration samples by replaying each sample's chains separately.  It
+shares only the model's forward pass with the engine.  The engine must
 reproduce it to within 1e-12; only BLAS summation order may differ.
 """
 
+import math
+
 import numpy as np
 import pytest
+
+from test_diffusion import generate
 
 from ptqkit import calibration as cal
 from ptqkit import diffusion as dif
@@ -20,14 +26,29 @@ from ptqkit import quantizer as qz
 TOL = 1e-12
 
 
+def reference_step(model, x, t, cond, sched, rng, tap=None):
+    """x_{t-1} from x_t: the DDPM posterior mean, plus sqrt(beta_tilde_t) z drawn from rng at t > 1."""
+    ab_t = sched.alpha_bar[t - 1]
+    ab_prev = sched.alpha_bar[t - 2] if t > 1 else 1.0
+    alpha_t = ab_t / ab_prev
+    u = np.hstack([x, np.tile(dif.time_embedding(t, model.time_embed_dim, sched.T), (len(x), 1)),
+                   np.tile(cond, (len(x), 1))])
+    eps_hat = model.forward(u, tap=tap, t=t)
+    mean = (x - (1.0 - alpha_t) / math.sqrt(1.0 - ab_t) * eps_hat) / math.sqrt(alpha_t)
+    if t == 1:
+        return mean
+    var = (1.0 - alpha_t) * (1.0 - ab_prev) / (1.0 - ab_t)
+    return mean + math.sqrt(var) * rng.standard_normal(x.size).reshape(x.shape)
+
+
 def reference_generate(model, cond, sched, n, rng, tap=None):
     out = np.empty((n, model.data_dim))
     for i in range(n):
         crng = rng.child(i)
-        state = dif.LatentState(t=sched.T, value=nc.gaussian_sample(crng, 1, model.data_dim))
-        while state.t > 0:
-            state = dif.denoise_step(model, state, cond, sched, crng, tap=tap)
-        out[i] = state.value[0]
+        x = crng.standard_normal(model.data_dim).reshape(1, -1)
+        for t in range(sched.T, 0, -1):
+            x = reference_step(model, x, t, cond, sched, crng, tap=tap)
+        out[i] = x[0]
     return out
 
 
@@ -58,10 +79,10 @@ def reference_capture(model, sched, cond, cell, chain_rng, batch=cal.CAPTURE_BAT
     """Replay one sample's chains from t=T and grab its cell on the way down."""
     layer, t_target = cell
     tap = _CellCapture(layer, t_target)
-    state = dif.LatentState(t=sched.T, value=nc.gaussian_sample(chain_rng, batch, model.data_dim))
-    while state.t > t_target:
-        state = dif.denoise_step(model, state, cond, sched, chain_rng)
-    dif.denoise_step(model, state, cond, sched, chain_rng, tap=tap)
+    x = chain_rng.standard_normal(batch * model.data_dim).reshape(batch, -1)
+    for t in range(sched.T, t_target, -1):
+        x = reference_step(model, x, t, cond, sched, chain_rng)
+    reference_step(model, x, t_target, cond, sched, chain_rng, tap=tap)
     return tap.value
 
 
@@ -73,7 +94,7 @@ def test_generate_matches_reference(trained, prompt_set):
     model, sched = trained
     for i, p in enumerate(prompt_set.prompts[:3]):
         c = dif.condition_embedding(p.text, p.bits, model.cond_embed_dim)
-        got = dif.generate(model, c, sched, 5, nc.RngStream(8).child(i))
+        got = generate(model, c, sched, 5, nc.RngStream(8).child(i))
         want = reference_generate(model, c, sched, 5, nc.RngStream(8).child(i))
         assert np.max(np.abs(got - want)) <= TOL
 
@@ -95,7 +116,7 @@ def test_profile_matches_reference(pipeline_cfg, trained, prompt_set):
     model, sched = trained
     cfg = pipeline_cfg
     got = exp._profile_for(model, sched, prompt_set, cfg, 3)
-    tap = prof.ActivationTap(model.layer_names, reservoir_size=cfg.reservoir_size)
+    tap = prof.ActivationTap(model.layer_names)
     rng = nc.RngStream(3, 41)
     for i, p in enumerate(prompt_set.prompts):
         c = dif.condition_embedding(p.text, p.bits, cfg.cond_embed_dim)
@@ -126,7 +147,7 @@ def test_capture_matches_reference(pipeline_cfg, trained, prompt_set, variance_p
 def test_rows_leave_the_batch_at_their_stop(trained, prompt_set):
     model, sched = trained
     p = prompt_set.prompts[0]
-    c = dif.condition_embedding(p.text, p.bits, model.cond_embed_dim).vector
+    c = dif.condition_embedding(p.text, p.bits, model.cond_embed_dim)
     stop = np.array([0, 0, 7, 30, sched.T])
     rngs = [nc.RngStream(5).child(i) for i in range(len(stop))]
     noise = dif.chain_noise(rngs, sched.T, model.data_dim)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptqkit import numeric_core as nc
-from ptqkit.errors import ShapeError
+from ptqkit import profiler as prof
+from ptqkit.errors import InsufficientDataError, ShapeError
 
 
 class TestTensor2d:
@@ -86,25 +87,33 @@ class TestRngStream:
 
 class TestGaussianSample:
     def test_shape(self):
-        assert nc.gaussian_sample(nc.RngStream(0), 3, 5).shape == (3, 5)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            nc.gaussian_sample(nc.RngStream(0), 0, 5)
+        assert nc.RngStream(0).standard_normal_blocks(3, 5).shape == (3, 5)
 
 
 class TestMeanAndVariance:
+    """Population moments (divide by N, not N-1), as a profiler cell accumulates them."""
+
+    @staticmethod
+    def _tap(values):
+        tap = prof.ActivationTap({"a"})
+        tap.offer("a", 1, np.asarray(values, dtype=np.float64))
+        return tap
+
+    def _moments(self, values):
+        cs = self._tap(values).cell_stats("a", 1)
+        return cs.mean, cs.variance
+
     def test_constant_input(self):
-        assert nc.mean_and_variance([5, 5, 5]) == (5.0, 0.0)
+        assert self._moments([5, 5, 5]) == (5.0, 0.0)
 
     def test_hand_computed_population_variance(self):
-        mean, var = nc.mean_and_variance([1, 2, 3])
+        mean, var = self._moments([1, 2, 3])
         assert mean == 2.0
         assert var == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_singleton(self):
-        assert nc.mean_and_variance([0]) == (0.0, 0.0)
+        assert self._moments([0]) == (0.0, 0.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            nc.mean_and_variance([])
+        with pytest.raises(InsufficientDataError):
+            prof.build_profile(self._tap([]))

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from test_diffusion import generate
+
 from ptqkit import diffusion as dif
 from ptqkit import numeric_core as nc
 from ptqkit import profiler as prof
@@ -20,11 +22,8 @@ def _gauss_sym_kl(m1, v1, m2, v2, eps=1e-12) -> float:
 
 
 def activation_divergence(profile_a, profile_b) -> dict:
-    """Per-cell variance gaps plus symmetric KL of Gaussian reservoir fits.
-
-    Both profiles must cover identical cells and carry reservoir samples
-    (profiles parsed back from disk do not).
-    """
+    """Per-cell variance gaps plus the symmetric KL of each cell's Gaussian
+    (mean, variance); both profiles must cover identical cells."""
     if profile_a.cells != profile_b.cells:
         raise ValueError("profiles cover different cells")
     report = {}
@@ -32,24 +31,16 @@ def activation_divergence(profile_a, profile_b) -> dict:
         va, vb = profile_a.variances[c], profile_b.variances[c]
         abs_gap = abs(va - vb)
         rel_gap = abs_gap / max(va, vb, 1e-12)
-        ra = profile_a.reservoirs.get(c)
-        rb = profile_b.reservoirs.get(c)
-        if ra is not None and rb is not None and ra.size >= 2 and rb.size >= 2:
-            ma, va_r = nc.mean_and_variance(ra)
-            mb, vb_r = nc.mean_and_variance(rb)
-            sym_kl = _gauss_sym_kl(ma, va_r, mb, vb_r)
-        else:
-            sym_kl = _gauss_sym_kl(profile_a.means[c], va, profile_b.means[c], vb)
+        sym_kl = _gauss_sym_kl(profile_a.means[c], va, profile_b.means[c], vb)
         report[c] = {"abs_variance_gap": abs_gap, "rel_variance_gap": rel_gap, "sym_kl": sym_kl}
     return report
 
 
-def _tap_with(values_by_cell, reservoir_size=64):
-    layers = {layer for layer, _ in values_by_cell}
-    tap = prof.ActivationTap(layers, reservoir_size=reservoir_size, rng=nc.RngStream(0, 1))
+def _tap_with(values_by_cell):
+    tap = prof.ActivationTap({layer for layer, _ in values_by_cell})
     for (layer, t), chunks in values_by_cell.items():
         for chunk in chunks:
-            tap.record(layer, t, np.asarray(chunk, dtype=np.float64))
+            tap.offer(layer, t, np.asarray(chunk, dtype=np.float64))
     return tap
 
 
@@ -68,28 +59,24 @@ class TestActivationTap:
         rng = nc.RngStream(19)
         values = 3.0 * rng.standard_normal(5000) + 1.0
         # replay in irregular chunks
-        tap = prof.ActivationTap({"a"}, rng=nc.RngStream(0, 1))
+        tap = prof.ActivationTap({"a"})
         i = 0
         k = 0
         while i < values.size:
             step = int(rng.child(9, k).integers(1, 97)[0])
-            tap.record("a", 1, values[i : i + step])
+            tap.offer("a", 1, values[i : i + step])
             i += step
             k += 1
-        mean, var = nc.mean_and_variance(values)
+        mean = float(np.mean(values))
+        var = float(np.mean((values - mean) ** 2))  # two-pass population variance
         cs = tap.cell_stats("a", 1)
         assert cs.mean == pytest.approx(mean, rel=1e-9)
         assert cs.variance == pytest.approx(var, rel=1e-9)
 
-    def test_reservoir_never_exceeds_capacity(self):
-        tap = _tap_with({("a", 1): [nc.RngStream(2).uniform(10_000)]}, reservoir_size=8)
-        assert tap.cell_stats("a", 1).reservoir_values().size == 8
-
     def test_unmonitored_layers_ignored(self):
-        tap = prof.ActivationTap({"a"}, rng=nc.RngStream(0, 1))
+        tap = prof.ActivationTap({"a"})
         tap.offer("b", 1, np.array([1.0, 2.0]))
         assert tap.cells() == []
-        assert tap.offer_count == 1
 
     def test_cells_keyed_by_layer_and_timestep(self):
         tap = _tap_with({("a", 1): [[1.0, 2.0]], ("a", 2): [[3.0, 4.0]], ("b", 1): [[5.0, 6.0]]})
@@ -137,15 +124,15 @@ class TestBuildProfile:
             prof.build_profile(tap)
 
     def test_empty_tap_rejected(self):
-        tap = prof.ActivationTap({"a"}, rng=nc.RngStream(0, 1))
+        tap = prof.ActivationTap({"a"})
         with pytest.raises(InsufficientDataError):
             prof.build_profile(tap)
 
-    def test_build_from_tap_carries_counts_and_reservoirs(self):
+    def test_build_from_tap_carries_counts_and_means(self):
         tap = _tap_with({("a", 1): [[1.0, 2.0, 3.0]], ("a", 2): [[4.0, 5.0]]})
         profile = prof.build_profile(tap)
-        assert profile.counts[("a", 1)] == 3
-        assert profile.reservoirs[("a", 1)].size == 3
+        assert profile.counts == {("a", 1): 3, ("a", 2): 2}
+        assert profile.means == {("a", 1): 2.0, ("a", 2): 4.5}
 
 
 class TestProfileIO:
@@ -204,10 +191,9 @@ class TestActivationDivergence:
         model, sched = trained
 
         def profile_for(prompt):
-            tap = prof.ActivationTap(model.layer_names, reservoir_size=64,
-                                     rng=nc.RngStream(0, 40))
+            tap = prof.ActivationTap(model.layer_names)
             c = dif.condition_embedding(prompt.text, prompt.bits, model.cond_embed_dim)
-            dif.generate(model, c, sched, 4, nc.RngStream(0, 41), tap=tap)
+            generate(model, c, sched, 4, nc.RngStream(0, 41), tap=tap)
             return prof.build_profile(tap)
 
         pa = profile_for(prompt_set.prompts[0])

@@ -79,30 +79,24 @@ class TestFitParams:
 class TestQuantizeDequantize:
     def test_zero_maps_to_zero_point(self):
         p = qz.fit_params(np.array([-1.0, 1.0]), 8, mode="symmetric")
-        q = qz.quantize(np.zeros((1, 1)), p)
-        assert q.codes[0, 0] == 0
+        out = qz.fake_quant(np.array([[0.0, -1e-6]]), p)
+        assert np.array_equal(out, [[0.0, 0.0]]) and not np.any(np.signbit(out))
 
     def test_forced_code_value(self):
-        p = qz.QuantParams(scale=0.1, zero_point=0, c_min=-128, c_max=127, bitwidth=8,
-                           mode="symmetric")
-        assert qz.quantize(np.array([[0.3]]), p).codes[0, 0] == 3
+        p = qz.QuantParams(scale=0.1, zero_point=0, bitwidth=8, mode="symmetric")
+        assert qz.fake_quant(np.array([[0.31]]), p)[0, 0] == 0.1 * 3  # code 3
 
     def test_out_of_range_clips(self):
-        p = qz.QuantParams(scale=0.1, zero_point=0, c_min=-128, c_max=127, bitwidth=8,
-                           mode="symmetric")
-        assert qz.quantize(np.array([[100.0]]), p).codes[0, 0] == 127
+        p = qz.QuantParams(scale=0.1, zero_point=0, bitwidth=8, mode="symmetric")
+        assert qz.fake_quant(np.array([[100.0, -100.0]]), p).tolist() == [[0.1 * 127, 0.1 * -128]]
 
     def test_dequantize_forced_value(self):
-        p = qz.QuantParams(scale=0.1, zero_point=0, c_min=-128, c_max=127, bitwidth=8,
-                           mode="symmetric")
-        q = qz.QuantizedTensor(codes=np.array([[3]]), params=p, shape=(1, 1))
-        assert qz.dequantize(q)[0, 0] == pytest.approx(0.3)
+        p = qz.QuantParams(scale=0.1, zero_point=0, bitwidth=8, mode="symmetric")
+        assert qz.fake_quant(np.array([[0.3]]), p)[0, 0] == pytest.approx(0.3)
 
     def test_code_at_zero_point_dequantizes_to_zero(self):
-        p = qz.QuantParams(scale=0.05, zero_point=17, c_min=-128, c_max=127, bitwidth=8,
-                           mode="asymmetric")
-        q = qz.QuantizedTensor(codes=np.array([[17]]), params=p, shape=(1, 1))
-        assert qz.dequantize(q)[0, 0] == 0.0
+        p = qz.QuantParams(scale=0.05, zero_point=17, bitwidth=8, mode="asymmetric")
+        assert qz.fake_quant(np.array([[0.0]]), p)[0, 0] == 0.0
 
     @pytest.mark.parametrize("bits", [4, 8, 16])
     def test_round_trip_bounded_by_half_scale(self, bits):
@@ -137,10 +131,10 @@ class TestQuantizeDequantize:
         assert np.all(np.diff(deq) >= 0.0)
 
     def test_codes_outside_bounds_rejected(self):
-        p = qz.QuantParams(scale=0.1, zero_point=0, c_min=-8, c_max=7, bitwidth=4,
-                           mode="symmetric")
+        # the zero-point is a grid code, so it must lie in [c_min, c_max] = [-8, 7]
         with pytest.raises(ValueError):
-            qz.QuantizedTensor(codes=np.array([[9]]), params=p, shape=(1, 1))
+            qz.QuantParams(scale=0.1, zero_point=9, bitwidth=4, mode="asymmetric")
+        assert qz.QuantParams(scale=0.1, zero_point=7, bitwidth=4, mode="asymmetric").c_max == 7
 
 
 class TestPolicyParsing:
