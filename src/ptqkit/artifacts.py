@@ -6,10 +6,13 @@ no fsync: that would guard a power loss, not a killed process.  The readers
 raise ConfigError naming a truncated or malformed file (CLI exit code 2).
 """
 
+import base64
 import contextlib
 import hashlib
 import json
 import os
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -38,6 +41,20 @@ def write_jsonl(path, records) -> None:
 def doc_hash(doc) -> str:
     """sha256 of the document's canonical (key-sorted) JSON."""
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def encode_array(a) -> dict:
+    """``{"shape": [...], "f8": ...}``: the base64 of the array's little-endian
+    float64 bytes in C order, so a round trip keeps every bit."""
+    a = np.asarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "f8": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def decode_array(doc) -> np.ndarray:
+    """The writable float64 array of an :func:`encode_array` document.  Text that is
+    not base64, or bytes that do not fill the shape, raise ValueError."""
+    flat = np.frombuffer(base64.b64decode(doc["f8"], validate=True), dtype="<f8")
+    return flat.reshape(doc["shape"]).astype(np.float64)
 
 
 def _cell(v) -> str:

@@ -16,12 +16,12 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import numeric_core as nc
-from .artifacts import doc_hash, read_json, write_json
+from .artifacts import decode_array, doc_hash, encode_array, read_json, write_json
 from .diffusion import chain_noise, condition_embedding, model_hash, reverse_chains
 from .errors import ConfigError, DegenerateProfileError
 from .profiler import LayerVarianceProfile
 
-CALIBSET_FORMAT_VERSION = 1
+CALIBSET_FORMAT_VERSION = 2  # activations as encode_array text
 MAX_TAU_HALVINGS = 64
 CAPTURE_BATCH = 8  # chains replayed per calibration sample
 
@@ -115,9 +115,10 @@ def _capture(model, sched, conds: np.ndarray, timesteps, layers, rngs, batch: in
 def _build_set(model, sched, prompts, cells, rng, strategy, K, profile_hash="", extra=None):
     if not prompts.prompts:
         raise ValueError("prompt set is empty")
-    # round-robin over prompts so every prompt contributes
-    ps = [prompts.prompts[i % len(prompts.prompts)] for i in range(len(cells))]
-    conds = np.array([condition_embedding(p.text, p.bits, model.cond_embed_dim) for p in ps])
+    used = prompts.prompts[:len(cells)]  # round-robin, so every prompt contributes
+    idx = np.arange(len(cells)) % len(used)
+    table = np.array([condition_embedding(p.text, p.bits, model.cond_embed_dim) for p in used])
+    ps, conds = [used[i] for i in idx], table[idx]
     layers, timesteps = zip(*cells)
     acts = _capture(model, sched, conds, timesteps, layers,
                     [rng.child(1000, i) for i in range(len(cells))])
@@ -166,49 +167,33 @@ def sample_normal_timestep(model, prompts, K: int, rng: nc.RngStream, sched,
                       extra={"mu_frac": mu_frac, "sigma_frac": sigma_frac})
 
 
+def _sample_docs(cs: CalibrationSet) -> list:
+    return [{"prompt_id": s.prompt_id, "layer": s.layer, "timestep": s.timestep,
+             "activation": encode_array(s.activation)} for s in cs.samples]
+
+
 def save_calibration_set(cs: CalibrationSet, path) -> None:
-    doc = {
-        "format_version": CALIBSET_FORMAT_VERSION,
-        "strategy": cs.strategy,
-        "K": cs.K,
-        "seed_key": list(cs.seed_key),
-        "profile_hash": cs.profile_hash,
-        "model_hash": cs.model_hash,
-        "extra": cs.extra,
-        "samples": [
-            {
-                "prompt_id": s.prompt_id,
-                "layer": s.layer,
-                "timestep": s.timestep,
-                "activation": s.activation.tolist(),
-            }
-            for s in cs.samples
-        ],
-    }
-    write_json(path, doc)
+    write_json(path, {"format_version": CALIBSET_FORMAT_VERSION, "strategy": cs.strategy,
+                      "K": cs.K, "seed_key": list(cs.seed_key), "profile_hash": cs.profile_hash,
+                      "model_hash": cs.model_hash, "extra": cs.extra, "samples": _sample_docs(cs)})
 
 
 def load_calibration_set(path) -> CalibrationSet:
     doc = read_json(path)
     if doc.get("format_version") != CALIBSET_FORMAT_VERSION:
-        raise ConfigError(f"unsupported calibration set format_version {doc.get('format_version')!r}")
-    samples = [
-        CalibrationSample(
-            prompt_id=d["prompt_id"],
-            layer=d["layer"],
-            timestep=d["timestep"],
-            activation=np.array(d["activation"]),
-        )
-        for d in doc["samples"]  # a "latent" key written by older versions is ignored
-    ]
-    return CalibrationSet(samples=samples, K=doc["K"], strategy=doc["strategy"],
-                          seed_key=tuple(doc["seed_key"]), profile_hash=doc["profile_hash"],
-                          model_hash=doc["model_hash"], extra=doc["extra"])
+        raise ConfigError(f"{path} has calibration set format_version {doc.get('format_version')!r},"
+                          f" not {CALIBSET_FORMAT_VERSION}; rerun the calibset command")
+    try:
+        samples = [CalibrationSample(prompt_id=d["prompt_id"], layer=d["layer"],
+                                     timestep=d["timestep"], activation=decode_array(d["activation"]))
+                   for d in doc["samples"]]
+        return CalibrationSet(samples=samples, K=doc["K"], strategy=doc["strategy"],
+                              seed_key=tuple(doc["seed_key"]), profile_hash=doc["profile_hash"],
+                              model_hash=doc["model_hash"], extra=doc["extra"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path} is truncated or malformed: {exc!r}") from exc
 
 
 def calibration_set_hash(cs: CalibrationSet) -> str:
-    return doc_hash({
-        "strategy": cs.strategy,
-        "K": cs.K,
-        "samples": [[s.prompt_id, s.layer, s.timestep, s.activation.tolist()] for s in cs.samples],
-    })
+    """sha256 of the strategy, K and the samples as the file encodes them."""
+    return doc_hash({"strategy": cs.strategy, "K": cs.K, "samples": _sample_docs(cs)})

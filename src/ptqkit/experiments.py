@@ -87,11 +87,8 @@ def _chain_rows(prompts: cov.PromptSet, cond_dim: int, per: int, rng: nc.RngStre
 
 
 def make_schedule(cfg: ExperimentConfig) -> dif.NoiseSchedule:
-    if cfg.schedule == "linear_beta":
-        return dif.NoiseSchedule.linear_beta(cfg.timesteps)
-    if cfg.schedule == "cosine":
-        return dif.NoiseSchedule.cosine(cfg.timesteps)
-    raise ConfigError(f"unknown schedule {cfg.schedule!r}")
+    return {"linear_beta": dif.NoiseSchedule.linear_beta,
+            "cosine": dif.NoiseSchedule.cosine}[cfg.schedule](cfg.timesteps)
 
 
 def append_result(cfg: ExperimentConfig, command: str, payload: dict, wall_time_s: float) -> dict:
@@ -212,17 +209,15 @@ def cmd_profile(cfg: ExperimentConfig) -> dict:
 def _build_calibset(cfg: ExperimentConfig, model, sched, prompts, strategy: str, seed: int,
                     profile=None):
     rng = nc.RngStream(seed, 50)
-    if strategy == "variance_aware":
-        if profile is None:
-            path = os.path.join(cfg.out_dir, "profile.tsv")
-            profile = prof.load_profile(path) if os.path.exists(path) else \
-                _profile_for(model, sched, prompts, cfg, seed)
-        return cal.sample_calibration_set(model, profile, prompts, cfg.k, rng, sched)
-    if strategy == "random_uniform":
-        return cal.sample_random_uniform(model, prompts, cfg.k, rng, sched)
-    if strategy == "normal_timestep":
-        return cal.sample_normal_timestep(model, prompts, cfg.k, rng, sched)
-    raise ConfigError(f"unknown strategy {strategy!r}")
+    if strategy != "variance_aware":
+        sampler = {"random_uniform": cal.sample_random_uniform,
+                   "normal_timestep": cal.sample_normal_timestep}[strategy]
+        return sampler(model, prompts, cfg.k, rng, sched)
+    if profile is None:
+        path = os.path.join(cfg.out_dir, "profile.tsv")
+        profile = prof.load_profile(path) if os.path.exists(path) else \
+            _profile_for(model, sched, prompts, cfg, seed)
+    return cal.sample_calibration_set(model, profile, prompts, cfg.k, rng, sched)
 
 
 def cmd_calibset(cfg: ExperimentConfig) -> dict:
@@ -240,7 +235,7 @@ def cmd_calibset(cfg: ExperimentConfig) -> dict:
 def cmd_quantize(cfg: ExperimentConfig) -> dict:
     t0 = time.monotonic()
     model, sched = _require_checkpoint(cfg)
-    wb, ab = qz.parse_policy_string(cfg.policy)
+    _, ab = qz.parse_policy_string(cfg.policy)
     policy = qz.PrecisionPolicy.uniform(model.layer_names, cfg.policy)
     calib = None
     if ab != qz.FULL:

@@ -1,12 +1,14 @@
 """Calibration-set construction: the variance-aware sampler and baselines."""
 
+import json
+
 import numpy as np
 import pytest
 
 from ptqkit import calibration as cal
 from ptqkit import numeric_core as nc
 from ptqkit import profiler as prof
-from ptqkit.errors import DegenerateProfileError
+from ptqkit.errors import ConfigError, DegenerateProfileError
 
 
 class _StubModel:
@@ -187,3 +189,83 @@ class TestBuildAndSerialize:
             n_cells = sum(1 for s in cs.samples if s.layer == layer)
             n_in = next(s.activation.shape[1] for s in cs.samples if s.layer == layer)
             assert vals.shape == (n_cells * cal.CAPTURE_BATCH * n_in,)
+
+
+class TestFileFormat:
+    """calibset.json v2: per-sample metadata plus the activation as base64 float64."""
+
+    @staticmethod
+    def _edge_set():
+        rng = np.random.default_rng(0)
+        samples = []
+        for i, n_in in enumerate((18, 64, 18, 64)):
+            act = rng.standard_normal((cal.CAPTURE_BATCH, n_in))
+            act[0, :4] = [-0.0, 5e-324, -2.2250738585072014e-308 / 3, np.finfo(float).max]
+            samples.append(cal.CalibrationSample(prompt_id=f"p{i}", timestep=i + 1,
+                                                 layer=f"layer{i}", activation=act))
+        return cal.CalibrationSet(samples=samples, K=len(samples), strategy="random_uniform",
+                                  seed_key=(3, 50), model_hash="m", extra={"note": 1})
+
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        cs = self._edge_set()
+        cal.save_calibration_set(cs, tmp_path / "cs.json")
+        loaded = cal.load_calibration_set(tmp_path / "cs.json")
+        assert [s.activation.shape[1] for s in loaded.samples] == [18, 64, 18, 64]
+        for s, t in zip(cs.samples, loaded.samples):
+            assert t.activation.shape == s.activation.shape
+            assert t.activation.tobytes() == s.activation.tobytes()
+        assert np.signbit(loaded.samples[0].activation[0, 0])
+        assert loaded.samples[0].activation[0, 1] == 5e-324
+
+    def test_saves_byte_identical_and_hash_survives_round_trip(self, tmp_path):
+        cs = self._edge_set()
+        cal.save_calibration_set(cs, tmp_path / "a.json")
+        cal.save_calibration_set(cs, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        loaded = cal.load_calibration_set(tmp_path / "a.json")
+        assert cal.calibration_set_hash(loaded) == cal.calibration_set_hash(cs)
+
+    def test_hash_follows_every_bit(self):
+        cs = self._edge_set()
+        before = cal.calibration_set_hash(cs)
+        cs.samples[0].activation[0, 0] = 0.0  # -0.0 -> +0.0
+        assert cal.calibration_set_hash(cs) != before
+
+    def test_samples_are_objects_with_the_keys_readers_use(self, tmp_path):
+        cs = self._edge_set()
+        cal.save_calibration_set(cs, tmp_path / "cs.json")
+        with open(tmp_path / "cs.json") as fh:
+            doc = json.load(fh)
+        assert doc["format_version"] == cal.CALIBSET_FORMAT_VERSION == 2
+        assert isinstance(doc["samples"], list) and len(doc["samples"]) == cs.K
+        for d, s in zip(doc["samples"], cs.samples):
+            assert (d["prompt_id"], d["layer"], d["timestep"]) == (s.prompt_id, s.layer, s.timestep)
+            assert d["activation"]["shape"] == list(s.activation.shape)
+
+    def test_loaded_activations_are_writable_float64(self, tmp_path):
+        cal.save_calibration_set(self._edge_set(), tmp_path / "cs.json")
+        for s in cal.load_calibration_set(tmp_path / "cs.json").samples:
+            assert s.activation.dtype == np.float64
+            assert s.activation.flags.writeable
+            s.activation[0, 0] = 1.0
+
+    @pytest.mark.parametrize("damage", ["cut_payload", "wrong_shape", "not_base64", "no_payload",
+                                        "no_K"])
+    def test_bad_payload_is_config_error_naming_the_file(self, tmp_path, damage):
+        path = tmp_path / "cs.json"
+        cal.save_calibration_set(self._edge_set(), path)
+        doc = json.loads(path.read_text())
+        act = doc["samples"][1]["activation"]
+        if damage == "cut_payload":
+            act["f8"] = act["f8"][:-4]
+        elif damage == "wrong_shape":
+            act["shape"] = [cal.CAPTURE_BATCH, 63]
+        elif damage == "not_base64":  # a lenient decoder would skip the stray characters
+            act["f8"] = act["f8"][:8] + "!!!!" + act["f8"][8:]
+        elif damage == "no_payload":
+            del act["f8"]
+        else:
+            del doc["K"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="cs.json"):
+            cal.load_calibration_set(path)

@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, config precedence, artifacts."""
 
+import base64
 import hashlib
 import json
 import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,6 +134,32 @@ class TestExitCodes:
         doc["samples"] = [s for s in doc["samples"] if s["layer"] != "layer1"]
         path.write_text(json.dumps(doc))
         assert cli.main(["quantize", "--config", cfgfile]) == cli.EXIT_DATA
+
+    @pytest.mark.parametrize("damage", ["truncated_payload", "shape_mismatch", "version_1"])
+    def test_bad_calibration_payload_is_config_error(self, tmp_path, capsys, damage):
+        cfgfile = _write_config(tmp_path)
+        for cmd in ("train", "profile", "calibset"):
+            assert cli.main([cmd, "--config", cfgfile]) == cli.EXIT_OK
+        path = tmp_path / "run" / "calibset.json"
+        doc = json.loads(path.read_text())
+        act = doc["samples"][0]["activation"]
+        if damage == "truncated_payload":
+            act["f8"] = act["f8"][:-1]
+        elif damage == "shape_mismatch":
+            act["shape"] = [act["shape"][0], act["shape"][1] + 1]
+        else:  # the nested float lists that format_version 1 stored
+            doc["format_version"] = 1
+            for s in doc["samples"]:
+                enc = s["activation"]
+                s["activation"] = np.frombuffer(base64.b64decode(enc["f8"])).reshape(
+                    enc["shape"]).tolist()
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["quantize", "--config", cfgfile]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "calibset.json" in err
+        if damage == "version_1":
+            assert "rerun the calibset command" in err
 
     def test_training_divergence_is_numeric_error(self, tmp_path):
         cfgfile = _write_config(tmp_path, learning_rate=1e12, epochs=40)
