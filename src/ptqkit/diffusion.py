@@ -126,18 +126,6 @@ def time_embedding_table(dim: int, T: int) -> np.ndarray:
     return table
 
 
-def silu(z: np.ndarray) -> np.ndarray:
-    e = np.negative(z)  # one temporary, updated in place: batched chains hold wide arrays
-    np.exp(e, out=e)
-    e += 1.0
-    return np.divide(z, e, out=e)
-
-
-def silu_grad(z: np.ndarray) -> np.ndarray:
-    s = 1.0 / (1.0 + np.exp(-z))
-    return s * (1.0 + z * (1.0 - s))
-
-
 @dataclass
 class AffineLayer:
     """One dense layer: out = act(q(in) @ weight + bias), q the optional input quantizer."""
@@ -212,7 +200,8 @@ class DenoiserModel:
 
     def forward(self, u: np.ndarray, tap=None, t: int = None, caches: list = None) -> np.ndarray:
         """Forward pass; each layer's *input*, after its quantizer if it has one, is
-        offered to the tap, and (input, pre-activation) pairs are appended to ``caches``."""
+        offered to the tap.  A ``caches`` list gets one (input, dact) pair per layer:
+        SiLU's derivative s * (1 + z * (1 - s)) from the forward sigmoid s, or None."""
         h = u
         for lyr in self.layers:
             if lyr.quantizer is not None:
@@ -221,9 +210,18 @@ class DenoiserModel:
                 tap.offer(lyr.name, t, h)
             z = h @ lyr.weight
             z += lyr.bias
+            dact = None
+            if lyr.activation == "silu":  # z / (1 + exp(-z))
+                e = np.negative(z)  # one temporary, updated in place: batched chains hold wide arrays
+                np.exp(e, out=e)
+                e += 1.0
+                if caches is not None:
+                    s = 1.0 / e
+                    dact = s * (1.0 + z * (1.0 - s))
+                z = np.divide(z, e, out=e)
             if caches is not None:
-                caches.append((h, z))
-            h = silu(z) if lyr.activation == "silu" else z
+                caches.append((h, dact))
+            h = z
         return h
 
 
@@ -268,19 +266,20 @@ class TrainResult:
 
 
 def _loss_and_grads(model: DenoiserModel, u: np.ndarray, eps: np.ndarray):
-    """MSE epsilon-prediction loss and gradients for every weight/bias."""
+    """MSE epsilon-prediction loss and gradients for every weight/bias (not for ``u``),
+    back through the (input, activation derivative) pairs ``forward`` caches."""
     caches = []
     diff = model.forward(u, caches=caches) - eps
     loss = float(np.mean(diff**2))
     g = 2.0 * diff / diff.size
     grads = []
-    for lyr, (h_in, z) in zip(reversed(model.layers), reversed(caches)):
-        if lyr.activation == "silu":
-            g = g * silu_grad(z)
-        gw = h_in.T @ g
-        gb = g.sum(axis=0)
-        grads.append((gw, gb))
-        g = g @ lyr.weight.T
+    for i in reversed(range(len(caches))):
+        h_in, dact = caches[i]
+        if dact is not None:
+            g *= dact
+        grads.append((h_in.T @ g, g.sum(axis=0)))
+        if i:
+            g = g @ model.layers[i].weight.T
     grads.reverse()
     return loss, grads
 
@@ -295,37 +294,39 @@ def training_batch(model: DenoiserModel, x0: np.ndarray, conds: np.ndarray, sche
 
 def train(model: DenoiserModel, dataset: np.ndarray, conds, sched: NoiseSchedule,
           hyper: TrainConfig, rng: nc.RngStream) -> TrainResult:
-    """Mini-batch SGD on the epsilon-prediction MSE. Returns a trained copy."""
+    """Mini-batch SGD on the epsilon-prediction MSE. Returns a trained copy.
+
+    Batch ``start`` of epoch e draws its timesteps, then its noise, from
+    rng.child(e).child(start).  The draws do not depend on the weights, so one
+    training_batch call per epoch assembles every step's rows; the n % batch_size
+    tail rows are dropped."""
     dataset = nc.tensor2d(dataset)
-    n = dataset.shape[0]
-    if n < hyper.batch_size:
+    (n, d), bs = dataset.shape, hyper.batch_size
+    if n < bs:
         raise ValueError("dataset smaller than batch size")
     if len(conds) != n:
         raise ValueError("one condition embedding per dataset row is required")
     model = model.copy()
     cond_rows = np.array(conds)
+    starts = range(0, n - bs + 1, bs)
     losses = []
     for epoch in range(hyper.epochs):
         erng = rng.child(epoch)
-        order = erng.permutation(n)
+        rows = erng.permutation(n)[:len(starts) * bs]
+        brngs = [erng.child(start) for start in starts]
+        ts = np.concatenate([b.integers(1, sched.T + 1, size=bs) for b in brngs])
+        eps = np.concatenate([b.standard_normal(bs * d) for b in brngs]).reshape(-1, d)
+        u, eps = training_batch(model, dataset[rows], cond_rows[rows], sched, ts, eps)
         epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n - hyper.batch_size + 1, hyper.batch_size):
-            idx = order[start : start + hyper.batch_size]
-            x0 = dataset[idx]
-            brng = erng.child(start)
-            ts = brng.integers(1, sched.T + 1, size=len(idx))
-            eps = brng.standard_normal(x0.size).reshape(x0.shape)
-            u, eps = training_batch(model, x0, cond_rows[idx], sched, ts, eps)
-            loss, grads = _loss_and_grads(model, u, eps)
+        for start in starts:
+            loss, grads = _loss_and_grads(model, u[start:start + bs], eps[start:start + bs])
             if not math.isfinite(loss):
                 raise TrainingDivergenceError(epoch, loss)
             for lyr, (gw, gb) in zip(model.layers, grads):
                 lyr.weight -= hyper.learning_rate * gw
                 lyr.bias -= hyper.learning_rate * gb
             epoch_loss += loss
-            n_batches += 1
-        losses.append(epoch_loss / max(n_batches, 1))
+        losses.append(epoch_loss / max(len(starts), 1))
     return TrainResult(model=model, losses=losses)
 
 

@@ -46,6 +46,49 @@ def training_loss(model, u, eps) -> float:
     return float(np.mean((model.forward(u) - eps) ** 2))
 
 
+def reference_train(model, dataset, conds, sched, hyper, rng):
+    """Per-batch SGD that ``dif.train`` must match bit for bit: each batch draws from
+    rng.child(epoch).child(start) and is assembled alone, SiLU's derivative is taken
+    from a fresh 1 / (1 + exp(-z)), and the backward pass runs down to the input."""
+    model = model.copy()
+    cond_rows = np.array(conds)
+    n, bs = len(dataset), hyper.batch_size
+    losses = []
+    for epoch in range(hyper.epochs):
+        erng = rng.child(epoch)
+        order = erng.permutation(n)
+        batch_losses = []
+        for start in range(0, n - bs + 1, bs):
+            idx = order[start:start + bs]
+            x0 = dataset[idx]
+            brng = erng.child(start)
+            ts = brng.integers(1, sched.T + 1, size=len(idx))
+            eps = brng.standard_normal(x0.size).reshape(x0.shape)
+            u, eps = dif.training_batch(model, x0, cond_rows[idx], sched, ts, eps)
+            h, inputs, pre = u, [], []
+            for lyr in model.layers:
+                z = h @ lyr.weight
+                z += lyr.bias
+                inputs.append(h)
+                pre.append(z)
+                h = z / (1.0 + np.exp(-z)) if lyr.activation == "silu" else z
+            diff = h - eps
+            batch_losses.append(float(np.mean(diff**2)))
+            g = 2.0 * diff / diff.size
+            grads = []
+            for lyr, h_in, z in zip(model.layers[::-1], inputs[::-1], pre[::-1]):
+                if lyr.activation == "silu":
+                    s = 1.0 / (1.0 + np.exp(-z))
+                    g = g * (s * (1.0 + z * (1.0 - s)))
+                grads.append((h_in.T @ g, g.sum(axis=0)))
+                g = g @ lyr.weight.T
+            for lyr, (gw, gb) in zip(model.layers, grads[::-1]):
+                lyr.weight -= hyper.learning_rate * gw
+                lyr.bias -= hyper.learning_rate * gb
+        losses.append(sum(batch_losses) / len(batch_losses))
+    return model, losses
+
+
 class TestNoiseSchedule:
     def test_linear_beta_strictly_decreasing_in_unit_interval(self):
         s = dif.NoiseSchedule.linear_beta(50)
@@ -271,6 +314,29 @@ class TestTraining:
             dif.train(model, data[:8], conds[:8], sched, dif.TrainConfig(batch_size=64),
                       nc.RngStream(0))
 
+    @pytest.mark.parametrize("n_per_cond, hidden, batch_size, epochs", [
+        (50, (16,), 32, 4),  # 100 rows: 3 batches and 4 tail rows per epoch
+        (50, (16,), 100, 4),  # one batch of every row
+        (40, (), 16, 4),  # one layer, activation "none"
+        (128, (64, 64, 64), 64, 3),  # the default model shape
+    ])
+    def test_train_matches_per_batch_reference_bit_for_bit(self, n_per_cond, hidden,
+                                                            batch_size, epochs):
+        rng = nc.RngStream(58)
+        conds = [_cond("low hum"), _cond("sharp click")]
+        data, row_conds = dif.make_mixture_dataset(conds, n_per_cond, rng.child(0))
+        sched = dif.NoiseSchedule.linear_beta(10)
+        model = dif.DenoiserModel.create(2, hidden, 8, 8, rng=rng.child(1))
+        assert len(model.layers) == len(hidden) + 1
+        hyper = dif.TrainConfig(learning_rate=0.02, epochs=epochs, batch_size=batch_size)
+        got = dif.train(model, data, row_conds, sched, hyper, nc.RngStream(9))
+        ref_model, ref_losses = reference_train(model, data, row_conds, sched, hyper,
+                                                nc.RngStream(9))
+        assert np.array_equal(np.array(got.losses), np.array(ref_losses))
+        for a, b in zip(got.model.layers, ref_model.layers):
+            assert np.array_equal(a.weight, b.weight)
+            assert np.array_equal(a.bias, b.bias)
+
     def test_training_deterministic(self):
         model, data, conds, sched = self._small_problem()
         hyper = dif.TrainConfig(learning_rate=0.02, epochs=3, batch_size=64)
@@ -321,6 +387,26 @@ class TestModelStructure:
         ]
         with pytest.raises(ValueError):
             dif.DenoiserModel(layers, 8, 8, 2)
+
+    def test_forward_caches_inputs_and_silu_derivatives(self):
+        model = dif.DenoiserModel.create(2, (16, 12), 8, 8, rng=nc.RngStream(61))
+        u = nc.RngStream(62).standard_normal(5 * 18).reshape(5, 18)
+        caches = []
+        out = model.forward(u, caches=caches)
+        assert np.array_equal(out, model.forward(u))
+        assert len(caches) == len(model.layers)
+        h = u
+        for lyr, (h_in, dact) in zip(model.layers, caches):
+            assert np.array_equal(h_in, h)
+            z = h_in @ lyr.weight + lyr.bias
+            if lyr.activation == "silu":
+                s = 1.0 / (1.0 + np.exp(-z))
+                assert np.array_equal(dact, s * (1.0 + z * (1.0 - s)))
+                h = z / (1.0 + np.exp(-z))
+            else:
+                assert dact is None
+                h = z
+        assert np.array_equal(h, out)
 
     def test_checkpoint_round_trip(self, tmp_path, trained):
         model, sched = trained
