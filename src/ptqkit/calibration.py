@@ -1,17 +1,18 @@
 """Calibration-set builders: variance-aware plus the two baseline samplers.
 
 A calibration sample is the input activation of one layer at one
-timestep of one prompt's reverse chain, captured by replaying the chain
-from pure noise down to the sampled timestep.  Each sample replays a
-small batch of chains so the activation payload carries enough rows to
-pin down the layer's value range.  All replays of a set run together in
-one batched reverse chain, and each sample's rows leave it on reaching
-the sample's timestep.  Replay is exact because every sample's chains
-are keyed by (base stream, sample index).
+timestep of one prompt's reverse chain.  Each sample reads a small batch
+of chains, so the activation payload carries enough rows to pin down the
+layer's value range.  Sample i of every set built together reads the
+same chains, keyed by (base stream, i), and each chain is replayed once,
+from pure noise down to the smallest timestep any set asks of it.  A
+sample's activation is tapped from its chain's own step at the sample's
+timestep, so a set built with others is byte-identical to the set built alone.
 """
 
 from dataclasses import dataclass, field
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .profiler import LayerVarianceProfile
 CALIBSET_FORMAT_VERSION = 2  # activations as encode_array text
 MAX_TAU_HALVINGS = 64
 CAPTURE_BATCH = 8  # chains replayed per calibration sample
+CAPTURE_ROWS = 1024  # widest batch a capture replay steps
 
 STRATEGIES = ("variance_aware", "random_uniform", "normal_timestep")
 
@@ -87,84 +89,97 @@ def draw_cells(profile: LayerVarianceProfile, K: int, rng: nc.RngStream,
     return [cells[i] for i in idx], tau, halvings
 
 
+def normal_timestep_cells(layers, T: int, K: int, rng: nc.RngStream, mu_frac: float = 0.5,
+                          sigma_frac: float = 0.25):
+    """K cells: timesteps ~ N(mu_frac T, (sigma_frac T)^2) rounded into 1..T, layers uniform."""
+    if not (0.0 < mu_frac < 1.0):
+        raise ValueError("mu_frac must lie in (0, 1)")
+    z = rng.standard_normal(K)
+    ts = np.clip(np.rint(mu_frac * T + sigma_frac * T * z), 1, T).astype(int)
+    li = rng.integers(0, len(layers), size=K)
+    return [(layers[l], int(t)) for l, t in zip(li, ts)]
+
+
+class Draw(NamedTuple):  # one strategy's cells, before capture
+    strategy: str
+    cells: list  # (layer, timestep) per sample
+    profile_hash: str
+    extra: dict
+
+
+def draw(strategy: str, model, sched, K: int, rng: nc.RngStream, profile=None) -> Draw:
+    """The strategy's K cells, drawn from rng.child(1); variance_aware needs ``profile``."""
+    if K < 1 or strategy not in STRATEGIES:
+        raise ValueError(f"cannot draw K={K} cells by {strategy!r}: need K >= 1, a known strategy")
+    drng, layers = rng.child(1), model.layer_names
+    if strategy == "variance_aware":
+        cells, tau_used, halvings = draw_cells(profile, K, drng)
+        return Draw(strategy, cells, profile.content_hash(),
+                    {"tau_var_used": tau_used, "tau_halvings": halvings})
+    if strategy == "random_uniform":  # uniform over layers x timesteps
+        li, ti = drng.integers(0, len(layers), size=K), drng.integers(1, sched.T + 1, size=K)
+        return Draw(strategy, [(layers[l], int(t)) for l, t in zip(li, ti)], "", {})
+    extra = {"mu_frac": 0.5, "sigma_frac": 0.25}
+    return Draw(strategy, normal_timestep_cells(layers, sched.T, K, drng, **extra), "", extra)
+
+
 def _capture(model, sched, conds: np.ndarray, timesteps, layers, rngs, batch: int = CAPTURE_BATCH):
-    """Replay all samples' chains together; return each sample's activation.
+    """Replay every chain once; return each request's activation.
 
-    Sample i drives ``batch`` rows with condition conds[i] from stream
-    rngs[i]; they leave the batch on reaching timesteps[i].  One forward
-    pass over those states, each row at its own timestep, then gives each
-    sample the input of its layer.
+    Chain c drives ``batch`` rows with condition conds[c] from stream rngs[c].
+    Request r reads chain r % len(rngs): the input of layer layers[r] on the
+    chain's own step at t = timesteps[r], whose forward is on (x_t, t).  A
+    chain stops after the step at its smallest requested t.  Chains replay in
+    groups of at most CAPTURE_ROWS rows, which bounds the working memory.
     """
-    order = np.argsort(timesteps, kind="stable")  # ascending stops keep running rows a prefix
-    stop = np.repeat(np.asarray(timesteps)[order], batch)
-    rows = np.repeat(conds[order], batch, axis=0)
-    noise = chain_noise([rngs[i] for i in order], sched.T, model.data_dim, rows=batch)
-    latents = reverse_chains(model, sched, rows, noise, stop=stop)
-    del noise  # freed before the snapshot pass, which is as wide as the first step
-    acts = [None] * len(order)
+    n = len(rngs)
+    t_min = np.full(n, sched.T + 1)
+    np.minimum.at(t_min, np.arange(len(timesteps)) % n, timesteps)
+    order = np.argsort(t_min, kind="stable")  # ascending stops keep running rows a prefix
+    pos = np.argsort(order)  # chain c is the pos[c]-th to stop
+    per = max(CAPTURE_ROWS // batch, 1)  # chains per replay group
+    width = {lyr.name: lyr.weight.shape[0] for lyr in model.layers}
+    acts = [np.empty((batch, width[layer])) for layer in layers]  # allocated before the replay
+    wanted = {}  # (group, layer, t) -> [(request, slot of its chain in the group)]
+    for r, (layer, t) in enumerate(zip(layers, timesteps)):
+        g, j = divmod(int(pos[r % n]), per)
+        wanted.setdefault((g, layer, int(t)), []).append((r, j))
+    for g in range(-(-n // per)):
+        group = order[g * per:(g + 1) * per]
 
-    def offer(layer, t, h):
-        for j, i in enumerate(order):
-            if layers[i] == layer:
-                acts[i] = h[j * batch:(j + 1) * batch].copy()
+        def offer(layer, t, h):
+            for r, j in wanted.get((g, layer, t), ()):
+                acts[r][...] = h[j * batch:(j + 1) * batch]
 
-    model.forward(model.assemble_input(latents, stop, rows, sched.T), tap=SimpleNamespace(offer=offer))
+        reverse_chains(model, sched, np.repeat(conds[group], batch, axis=0),
+                       chain_noise([rngs[c] for c in group], sched.T, model.data_dim, rows=batch),
+                       tap=SimpleNamespace(offer=offer), stop=np.repeat(t_min[group] - 1, batch))
     return acts
 
 
-def _build_set(model, sched, prompts, cells, rng, strategy, K, profile_hash="", extra=None):
+def build_sets(model, sched, prompts, draws, rng: nc.RngStream) -> list:
+    """One calibration set per draw, all captured in one replay of their chains.
+
+    Every draw holds K cells.  Sample i of each set reads chain i: stream
+    rng.child(1000, i) and the condition of prompt i mod min(K, n_prompts), so
+    every prompt contributes and a set built with others equals the set built alone.
+    """
     if not prompts.prompts:
         raise ValueError("prompt set is empty")
-    used = prompts.prompts[:len(cells)]  # round-robin, so every prompt contributes
-    idx = np.arange(len(cells)) % len(used)
+    K = len(draws[0].cells)
+    if any(len(d.cells) != K for d in draws):
+        raise ValueError("calibration sets built together must share K")
+    used = prompts.prompts[:K]
     table = np.array([condition_embedding(p.text, p.bits, model.cond_embed_dim) for p in used])
-    ps, conds = [used[i] for i in idx], table[idx]
-    layers, timesteps = zip(*cells)
-    acts = _capture(model, sched, conds, timesteps, layers,
-                    [rng.child(1000, i) for i in range(len(cells))])
-    samples = [CalibrationSample(prompt_id=p.prompt_id, timestep=t, layer=layer, activation=act)
-               for p, (layer, t), act in zip(ps, cells, acts)]
-    return CalibrationSet(samples=samples, K=K, strategy=strategy,
-                          seed_key=(rng.seed, rng.stream_id), profile_hash=profile_hash,
-                          model_hash=model_hash(model, sched), extra=extra or {})
-
-
-def sample_calibration_set(model, profile: LayerVarianceProfile, prompts, K: int,
-                           rng: nc.RngStream, sched) -> CalibrationSet:
-    """Variance-aware sampling: cells drawn from P with the tau_var floor."""
-    cells, tau_used, halvings = draw_cells(profile, K, rng.child(1))
-    return _build_set(model, sched, prompts, cells, rng, "variance_aware", K,
-                      profile_hash=profile.content_hash(),
-                      extra={"tau_var_used": tau_used, "tau_halvings": halvings})
-
-
-def sample_random_uniform(model, prompts, K: int, rng: nc.RngStream, sched) -> CalibrationSet:
-    """Baseline: cells uniform over layers x timesteps."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    layers = model.layer_names
-    drng = rng.child(1)
-    li = drng.integers(0, len(layers), size=K)
-    ti = drng.integers(1, sched.T + 1, size=K)
-    cells = [(layers[l], int(t)) for l, t in zip(li, ti)]
-    return _build_set(model, sched, prompts, cells, rng, "random_uniform", K)
-
-
-def sample_normal_timestep(model, prompts, K: int, rng: nc.RngStream, sched,
-                           mu_frac: float = 0.5, sigma_frac: float = 0.25) -> CalibrationSet:
-    """Baseline: timesteps from a clipped discretized normal, layers uniform."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if not (0.0 < mu_frac < 1.0):
-        raise ValueError("mu_frac must lie in (0, 1)")
-    layers = model.layer_names
-    drng = rng.child(1)
-    z = drng.standard_normal(K)
-    ts = np.clip(np.rint(mu_frac * sched.T + sigma_frac * sched.T * z), 1, sched.T).astype(int)
-    li = drng.integers(0, len(layers), size=K)
-    cells = [(layers[l], int(t)) for l, t in zip(li, ts)]
-    return _build_set(model, sched, prompts, cells, rng, "normal_timestep", K,
-                      extra={"mu_frac": mu_frac, "sigma_frac": sigma_frac})
+    layers, timesteps = zip(*[c for d in draws for c in d.cells])
+    acts = _capture(model, sched, table[np.arange(K) % len(used)], timesteps, layers,
+                    [rng.child(1000, i) for i in range(K)])
+    mhash, seed_key = model_hash(model, sched), (rng.seed, rng.stream_id)
+    return [CalibrationSet(
+        samples=[CalibrationSample(used[i % len(used)].prompt_id, t, layer, acts[s * K + i])
+                 for i, (layer, t) in enumerate(d.cells)],
+        K=K, strategy=d.strategy, seed_key=seed_key, profile_hash=d.profile_hash,
+        model_hash=mhash, extra=d.extra) for s, d in enumerate(draws)]
 
 
 def _sample_docs(cs: CalibrationSet) -> list:

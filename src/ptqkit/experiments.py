@@ -206,18 +206,17 @@ def cmd_profile(cfg: ExperimentConfig) -> dict:
     return append_result(cfg, "profile", payload, time.monotonic() - t0)
 
 
-def _build_calibset(cfg: ExperimentConfig, model, sched, prompts, strategy: str, seed: int,
-                    profile=None):
+def _calibsets(cfg: ExperimentConfig, model, sched, prompts, strategies, seed: int,
+               profile=None) -> list:
+    """One calibration set of cfg.k samples per strategy, built together from stream
+    (seed, 50); variance_aware reads ``profile``, else profile.tsv, else a new profile."""
     rng = nc.RngStream(seed, 50)
-    if strategy != "variance_aware":
-        sampler = {"random_uniform": cal.sample_random_uniform,
-                   "normal_timestep": cal.sample_normal_timestep}[strategy]
-        return sampler(model, prompts, cfg.k, rng, sched)
-    if profile is None:
+    if profile is None and "variance_aware" in strategies:
         path = os.path.join(cfg.out_dir, "profile.tsv")
         profile = prof.load_profile(path) if os.path.exists(path) else \
             _profile_for(model, sched, prompts, cfg, seed)
-    return cal.sample_calibration_set(model, profile, prompts, cfg.k, rng, sched)
+    draws = [cal.draw(s, model, sched, cfg.k, rng, profile) for s in strategies]
+    return cal.build_sets(model, sched, prompts, draws, rng)
 
 
 def cmd_calibset(cfg: ExperimentConfig) -> dict:
@@ -225,7 +224,7 @@ def cmd_calibset(cfg: ExperimentConfig) -> dict:
     model, sched = _require_checkpoint(cfg)
     aspects = load_aspects(cfg)
     prompts = load_or_build_prompts(cfg, aspects)
-    cs = _build_calibset(cfg, model, sched, prompts, cfg.strategy, cfg.seed)
+    cs, = _calibsets(cfg, model, sched, prompts, (cfg.strategy,), cfg.seed)
     cal.save_calibration_set(cs, os.path.join(cfg.out_dir, "calibset.json"))
     payload = {"metrics": {"strategy": cs.strategy, "K": cs.K,
                            "set_hash": cal.calibration_set_hash(cs)}}
@@ -326,23 +325,26 @@ def cmd_sweep(cfg: ExperimentConfig) -> dict:
     return append_result(cfg, "sweep", payload, time.monotonic() - t0)
 
 
+def _score_sets(cfg: ExperimentConfig, model, sched, prompts, sets, seed: int) -> list:
+    """Quantize ``model`` at cfg.policy with each calibration set; score every
+    quantized model against one full-precision batch."""
+    policy = qz.PrecisionPolicy.uniform(model.layer_names, cfg.policy)
+    qmodels = [qz.quantize_model(model, policy, cs, method=cfg.act_range_method,
+                                 percentile=cfg.act_percentile).model for cs in sets]
+    return evaluate_models(model, qmodels, sched, prompts, cfg.cond_embed_dim, cfg.n_eval, seed)
+
+
 def compare_one_seed(cfg: ExperimentConfig, model, sched, prompts, seed: int,
                      write_sets: bool = False, profile=None) -> dict:
     # The profile characterizes the model, so it is shared across comparison
     # seeds; only the calibration draw and evaluation chains vary with seed.
     if profile is None:
         profile = _profile_for(model, sched, prompts, cfg, cfg.seed)
-    out = {}
-    for strategy in cal.STRATEGIES:
-        cs = _build_calibset(cfg, model, sched, prompts, strategy, seed, profile=profile)
-        if write_sets:
-            cal.save_calibration_set(cs, os.path.join(cfg.out_dir, f"calibset_{strategy}.json"))
-        policy = qz.PrecisionPolicy.uniform(model.layer_names, cfg.policy)
-        qmodel = qz.quantize_model(model, policy, cs, method=cfg.act_range_method,
-                                   percentile=cfg.act_percentile).model
-        out[strategy] = evaluate_pair(model, qmodel, sched, prompts, cfg.cond_embed_dim,
-                                      cfg.n_eval, seed)
-    return out
+    sets = _calibsets(cfg, model, sched, prompts, cal.STRATEGIES, seed, profile=profile)
+    if write_sets:
+        for cs in sets:
+            cal.save_calibration_set(cs, os.path.join(cfg.out_dir, f"calibset_{cs.strategy}.json"))
+    return dict(zip(cal.STRATEGIES, _score_sets(cfg, model, sched, prompts, sets, seed)))
 
 
 def cmd_compare(cfg: ExperimentConfig) -> dict:
@@ -359,21 +361,12 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
                                 write_sets=(seed == seeds[0]), profile=profile)
 
     results = _map_seeds(_one, seeds, cfg.jobs)
-    rows = []
-    for s, res in zip(seeds, results):
-        for strategy in cal.STRATEGIES:
-            rows.append((strategy, s, res[strategy]["fd"], res[strategy]["kl"],
-                         res[strategy]["mse"]))
+    rows = [(st, s, res[st]["fd"], res[st]["kl"], res[st]["mse"])
+            for s, res in zip(seeds, results) for st in cal.STRATEGIES]
     art.write_tsv(os.path.join(cfg.out_dir, "compare.tsv"), TABLES["compare"], rows)
-    means = {
-        strategy: float(np.mean([res[strategy]["fd"] for res in results]))
-        for strategy in cal.STRATEGIES
-    }
-    payload = {
-        "policy": cfg.policy,
-        "metrics": {"kind": "compare", "mean_fd": means,
-                    "rows": [list(r) for r in rows]},
-    }
+    means = {st: float(np.mean([res[st]["fd"] for res in results])) for st in cal.STRATEGIES}
+    payload = {"policy": cfg.policy,
+               "metrics": {"kind": "compare", "mean_fd": means, "rows": [list(r) for r in rows]}}
     return append_result(cfg, "compare", payload, time.monotonic() - t0)
 
 
@@ -406,22 +399,14 @@ def cmd_scale(cfg: ExperimentConfig) -> dict:
 
         def _one(seed, cp=calib_prompts):
             profile = _profile_for(model, sched, cp, cfg, seed)
-            cs = cal.sample_calibration_set(model, profile, cp, cfg.k,
-                                            nc.RngStream(seed, 50), sched)
-            policy = qz.PrecisionPolicy.uniform(model.layer_names, cfg.policy)
-            qmodel = qz.quantize_model(model, policy, cs, method=cfg.act_range_method,
-                                       percentile=cfg.act_percentile).model
-            return evaluate_pair(model, qmodel, sched, eval_prompts, cfg.cond_embed_dim,
-                                 cfg.n_eval, seed)
+            sets = _calibsets(cfg, model, sched, cp, ("variance_aware",), seed, profile=profile)
+            return _score_sets(cfg, model, sched, eval_prompts, sets, seed)[0]
 
         results = _map_seeds(_one, seeds, cfg.jobs)
         rows.append((n, float(np.mean([r["fd"] for r in results])), len(uncovered),
                      ";".join(uncovered)))
     art.write_tsv(os.path.join(cfg.out_dir, "scale.tsv"), TABLES["scale"], rows)
-    payload = {
-        "policy": cfg.policy,
-        "metrics": {"kind": "scale", "rows": [list(r) for r in rows]},
-    }
+    payload = {"policy": cfg.policy, "metrics": {"kind": "scale", "rows": [list(r) for r in rows]}}
     return append_result(cfg, "scale", payload, time.monotonic() - t0)
 
 

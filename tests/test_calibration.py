@@ -1,34 +1,22 @@
 """Calibration-set construction: the variance-aware sampler and baselines."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ptqkit import calibration as cal
+from ptqkit import diffusion as dif
+from ptqkit import experiments as exp
 from ptqkit import numeric_core as nc
 from ptqkit import profiler as prof
 from ptqkit.errors import ConfigError, DegenerateProfileError
 
 
-class _StubModel:
-    """Just enough surface for the cell-drawing code paths."""
-
-    layer_names = ["layer0", "layer1", "layer2", "layer3"]
-    data_dim = 2
-    cond_embed_dim = 8
-
-
-class _StubSched:
-    T = 50
-
-
-@pytest.fixture
-def cells_only(monkeypatch):
-    """Route _build_set to return the drawn cells instead of capturing."""
-    monkeypatch.setattr(cal, "_build_set",
-                        lambda model, sched, prompts, cells, rng, strategy, K, **kw: cells)
-    return None
+LAYERS = ["layer0", "layer1", "layer2", "layer3"]
+T = 50
+STUB_MODEL, STUB_SCHED = SimpleNamespace(layer_names=LAYERS), SimpleNamespace(T=T)
 
 
 class TestDrawCells:
@@ -74,10 +62,9 @@ class TestDrawCells:
 
 
 class TestBaselineDistributions:
-    def test_random_uniform_cell_frequencies(self, cells_only):
+    def test_random_uniform_cell_frequencies(self):
         # 4 layers x 50 timesteps = 200 cells at K = 200k: 0.5% +/- 0.1% each
-        cells = cal.sample_random_uniform(_StubModel(), object(), 200_000, nc.RngStream(6),
-                                          _StubSched())
+        cells = cal.draw("random_uniform", STUB_MODEL, STUB_SCHED, 200_000, nc.RngStream(6)).cells
         counts = {}
         for c in cells:
             counts[c] = counts.get(c, 0) + 1
@@ -85,39 +72,47 @@ class TestBaselineDistributions:
         for n in counts.values():
             assert abs(n / 200_000 - 0.005) <= 0.001
 
-    def test_normal_timestep_mean_near_half_T(self, cells_only):
-        cells = cal.sample_normal_timestep(_StubModel(), object(), 100_000, nc.RngStream(7),
-                                           _StubSched())
+    def test_normal_timestep_mean_near_half_T(self):
+        cells = cal.normal_timestep_cells(LAYERS, T, 100_000, nc.RngStream(7))
         ts = np.array([t for _, t in cells])
         assert abs(ts.mean() - 25.0) <= 1.0
 
-    def test_normal_timestep_degenerate_sigma(self, cells_only):
-        cells = cal.sample_normal_timestep(_StubModel(), object(), 500, nc.RngStream(8),
-                                           _StubSched(), sigma_frac=0.0)
+    def test_normal_timestep_degenerate_sigma(self):
+        cells = cal.normal_timestep_cells(LAYERS, T, 500, nc.RngStream(8), sigma_frac=0.0)
         assert all(t == 25 for _, t in cells)
 
-    def test_normal_timestep_clipping(self, cells_only):
-        cells = cal.sample_normal_timestep(_StubModel(), object(), 5000, nc.RngStream(9),
-                                           _StubSched(), mu_frac=0.01)
+    def test_normal_timestep_clipping(self):
+        cells = cal.normal_timestep_cells(LAYERS, T, 5000, nc.RngStream(9), mu_frac=0.01)
         ts = [t for _, t in cells]
         assert min(ts) >= 1 and max(ts) <= 50
 
     def test_mu_frac_validated(self):
         with pytest.raises(ValueError):
-            cal.sample_normal_timestep(_StubModel(), object(), 10, nc.RngStream(0),
-                                       _StubSched(), mu_frac=1.5)
+            cal.normal_timestep_cells(LAYERS, T, 10, nc.RngStream(0), mu_frac=1.5)
 
     def test_k_validated(self):
-        with pytest.raises(ValueError):
-            cal.sample_random_uniform(_StubModel(), object(), 0, nc.RngStream(0), _StubSched())
+        for strategy in ("random_uniform", "normal_timestep"):
+            with pytest.raises(ValueError):
+                cal.draw(strategy, STUB_MODEL, STUB_SCHED, 0, nc.RngStream(0))
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError, match="uniform"):
+            cal.draw("uniform", STUB_MODEL, STUB_SCHED, 10, nc.RngStream(0))
+
+    def test_draw_takes_the_cells_from_child_stream_1(self):
+        rng = nc.RngStream(6, 50)
+        assert cal.draw("normal_timestep", STUB_MODEL, STUB_SCHED, 30, rng).cells == \
+            cal.normal_timestep_cells(LAYERS, T, 30, rng.child(1))
 
 
 class TestBuildAndSerialize:
     def _small_set(self, pipeline_cfg, trained, prompt_set, k=12):
         model, sched = trained
         profile = prof.load_profile(f"{pipeline_cfg.out_dir}/profile.tsv")
-        return cal.sample_calibration_set(model, profile, prompt_set, k,
-                                          nc.RngStream(31, 50), sched)
+        rng = nc.RngStream(31, 50)
+        sets = cal.build_sets(model, sched, prompt_set,
+                              [cal.draw("variance_aware", model, sched, k, rng, profile)], rng)
+        return sets[0]
 
     def test_exactly_k_samples(self, pipeline_cfg, trained, prompt_set):
         cs = self._small_set(pipeline_cfg, trained, prompt_set, k=12)
@@ -167,19 +162,18 @@ class TestBuildAndSerialize:
 
         model, sched = trained
         profile = prof.profile_from_variances({("layer0", 1): 1.0})
+        draws = [cal.draw("variance_aware", model, sched, 4, nc.RngStream(0), profile)]
         with pytest.raises(ValueError):
-            cal.sample_calibration_set(model, profile, PromptSet(prompts=[]), 4,
-                                       nc.RngStream(0), sched)
+            cal.build_sets(model, sched, PromptSet(prompts=[]), draws, nc.RngStream(0))
 
     def test_equal_k_across_strategies(self, pipeline_cfg, trained, prompt_set):
         model, sched = trained
         k = 9
         rng = nc.RngStream(33, 50)
-        sets = [
-            self._small_set(pipeline_cfg, trained, prompt_set, k=k),
-            cal.sample_random_uniform(model, prompt_set, k, rng, sched),
-            cal.sample_normal_timestep(model, prompt_set, k, rng, sched),
-        ]
+        sets = [self._small_set(pipeline_cfg, trained, prompt_set, k=k),
+                *cal.build_sets(model, sched, prompt_set,
+                                [cal.draw(s, model, sched, k, rng) for s in cal.STRATEGIES[1:]],
+                                rng)]
         assert [len(s.samples) for s in sets] == [k, k, k]
 
     def test_activations_for_layer_concatenates_flat(self, pipeline_cfg, trained, prompt_set):
@@ -189,6 +183,70 @@ class TestBuildAndSerialize:
             n_cells = sum(1 for s in cs.samples if s.layer == layer)
             n_in = next(s.activation.shape[1] for s in cs.samples if s.layer == layer)
             assert vals.shape == (n_cells * cal.CAPTURE_BATCH * n_in,)
+
+
+class TestJointBuild:
+    """Sets built together share their chains' replay and equal the sets built alone."""
+
+    @pytest.mark.parametrize("seed", [12, 13])
+    def test_sets_built_together_equal_sets_built_alone(self, pipeline_cfg, trained, prompt_set,
+                                                        variance_profile, seed):
+        model, sched = trained
+        joint = exp._calibsets(pipeline_cfg, model, sched, prompt_set, cal.STRATEGIES, seed,
+                               profile=variance_profile)
+        for strategy, together in zip(cal.STRATEGIES, joint):
+            alone, = exp._calibsets(pipeline_cfg, model, sched, prompt_set, (strategy,), seed,
+                                    profile=variance_profile)
+            assert together.strategy == alone.strategy == strategy
+            assert cal.calibration_set_hash(together) == cal.calibration_set_hash(alone)
+            assert cal._sample_docs(together) == cal._sample_docs(alone)
+            assert (together.seed_key, together.profile_hash, together.model_hash,
+                    together.extra) == (alone.seed_key, alone.profile_hash, alone.model_hash,
+                                        alone.extra)
+
+    def test_joint_build_replays_each_chain_once(self, monkeypatch, trained, prompt_set,
+                                                 variance_profile):
+        model, sched = trained
+        k = 12
+        rows = {}  # t -> rows the tap saw at the first layer
+        calls = []
+
+        def counting_chains(model, sched, conds, noise, tap=None, stop=None):
+            class Counting:
+                def offer(self, layer, t, h):
+                    if layer == model.layer_names[0]:
+                        rows[t] = rows.get(t, 0) + len(h)
+                    tap.offer(layer, t, h)
+
+            calls.append(len(conds))
+            return dif.reverse_chains(model, sched, conds, noise, tap=Counting(), stop=stop)
+
+        monkeypatch.setattr(cal, "reverse_chains", counting_chains)
+        rng = nc.RngStream(14, 50)
+        draws = [cal.draw(s, model, sched, k, rng, variance_profile) for s in cal.STRATEGIES]
+        sets = cal.build_sets(model, sched, prompt_set, draws, rng)
+        assert calls == [k * cal.CAPTURE_BATCH]
+        assert max(rows.values()) == k * cal.CAPTURE_BATCH
+        t_min = [min(cs.samples[i].timestep for cs in sets) for i in range(k)]
+        assert sum(rows.values()) == sum(cal.CAPTURE_BATCH * (sched.T - t + 1) for t in t_min)
+
+    def test_chains_beyond_the_row_budget_replay_in_groups(self, monkeypatch, trained,
+                                                           prompt_set):
+        model, sched = trained
+        rng = nc.RngStream(15, 50)
+        draws = [cal.draw(s, model, sched, 12, rng) for s in cal.STRATEGIES[1:]]
+        want = cal.build_sets(model, sched, prompt_set, draws, rng)
+        monkeypatch.setattr(cal, "CAPTURE_ROWS", 5 * cal.CAPTURE_BATCH)  # groups of 5, 5, 2
+        got = cal.build_sets(model, sched, prompt_set, draws, rng)
+        assert [cal.calibration_set_hash(cs) for cs in got] == \
+            [cal.calibration_set_hash(cs) for cs in want]
+
+    def test_sets_built_together_must_share_k(self, trained, prompt_set, variance_profile):
+        model, sched = trained
+        rng = nc.RngStream(16, 50)
+        draws = [cal.draw("random_uniform", model, sched, k, rng) for k in (4, 5)]
+        with pytest.raises(ValueError):
+            cal.build_sets(model, sched, prompt_set, draws, rng)
 
 
 class TestFileFormat:

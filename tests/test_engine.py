@@ -132,8 +132,8 @@ def test_profile_matches_reference(pipeline_cfg, trained, prompt_set):
 def test_capture_matches_reference(pipeline_cfg, trained, prompt_set, variance_profile, strategy):
     model, sched = trained
     rng = nc.RngStream(12, 50)
-    cs = exp._build_calibset(pipeline_cfg, model, sched, prompt_set, strategy, 12,
-                             profile=variance_profile)
+    cs, = exp._calibsets(pipeline_cfg, model, sched, prompt_set, (strategy,), 12,
+                         profile=variance_profile)
     conds = {p.prompt_id: dif.condition_embedding(p.text, p.bits, model.cond_embed_dim)
              for p in prompt_set.prompts}
     assert len(cs.samples) == pipeline_cfg.k
@@ -142,6 +142,17 @@ def test_capture_matches_reference(pipeline_cfg, trained, prompt_set, variance_p
                                 rng.child(1000, i))
         assert s.activation.shape == act.shape
         assert np.max(np.abs(s.activation - act)) <= TOL
+    # one chain carrying requests at two timesteps and two layers, the first sample's among them
+    s0 = cs.samples[0]
+    cells = [(s0.layer, s0.timestep)] + [(layer, t) for layer in model.layer_names[::3]
+                                         for t in (sched.T, 1)]
+    layers, timesteps = zip(*cells)
+    acts = cal._capture(model, sched, conds[s0.prompt_id][None, :], timesteps, layers,
+                        [rng.child(1000, 0)])
+    for cell, act in zip(cells, acts):
+        want = reference_capture(model, sched, conds[s0.prompt_id], cell, rng.child(1000, 0))
+        assert act.shape == want.shape
+        assert np.max(np.abs(act - want)) <= TOL
 
 
 def test_rows_leave_the_batch_at_their_stop(trained, prompt_set):
