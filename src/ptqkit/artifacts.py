@@ -17,12 +17,13 @@ import numpy as np
 from .errors import ConfigError
 
 
-def write_text(path, text: str) -> None:
+def write_text(path, *parts: str) -> None:
+    """Write ``parts``, one after another, as the text of ``path``."""
     os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.write(text)
+            fh.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -31,7 +32,7 @@ def write_text(path, text: str) -> None:
 
 
 def write_json(path, doc, indent=None) -> None:
-    write_text(path, json.dumps(doc, sort_keys=True, indent=indent) + "\n")
+    write_text(path, json.dumps(doc, sort_keys=True, indent=indent), "\n")  # no joined copy
 
 
 def write_jsonl(path, records) -> None:

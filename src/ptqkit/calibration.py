@@ -1,4 +1,7 @@
-"""Calibration-set builders: variance-aware plus the two baseline samplers.
+"""Calibration sets.  Each strategy is one weight vector over the (layer, timestep)
+grid, and one categorical draw takes its K cells: ``variance_aware`` weighs by the
+profile, zero below the variance floor; ``random_uniform`` equally; ``normal_timestep``
+by the exact pmf of clip(rint(N(T/2, (T/4)^2)), 1, T), the same for every layer.
 
 A calibration sample is the input activation of one layer at one
 timestep of one prompt's reverse chain.  Each sample reads a small batch
@@ -10,6 +13,7 @@ sample's activation is tapped from its chain's own step at the sample's
 timestep, so a set built with others is byte-identical to the set built alone.
 """
 
+import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -26,6 +30,7 @@ CALIBSET_FORMAT_VERSION = 2  # activations as encode_array text
 MAX_TAU_HALVINGS = 64
 CAPTURE_BATCH = 8  # chains replayed per calibration sample
 CAPTURE_ROWS = 1024  # widest batch a capture replay steps
+NORMAL_MEAN_FRAC, NORMAL_STD_FRAC = 0.5, 0.25  # normal_timestep: t ~ N(0.5 T, (0.25 T)^2)
 
 STRATEGIES = ("variance_aware", "random_uniform", "normal_timestep")
 
@@ -53,6 +58,13 @@ class CalibrationSet:
         return np.concatenate(vals) if vals else np.empty(0)
 
 
+def _categorical(grid, weights, K: int, rng: nc.RngStream) -> list:
+    """K cells of ``grid`` drawn i.i.d. by ``weights``: the one draw of every strategy."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    return [grid[i] for i in rng.categorical(weights, K)]
+
+
 def draw_cells(profile: LayerVarianceProfile, K: int, rng: nc.RngStream,
                tau_var: float = None):
     """Draw K (layer, timestep) cells i.i.d. from the profile's probabilities.
@@ -63,8 +75,6 @@ def draw_cells(profile: LayerVarianceProfile, K: int, rng: nc.RngStream,
     equivalent to rejection sampling from the full one and cannot
     livelock.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
     tau = profile.tau_var if tau_var is None else float(tau_var)
     cells = profile.cells
     variances = np.array([profile.variances[c] for c in cells])
@@ -84,20 +94,14 @@ def draw_cells(profile: LayerVarianceProfile, K: int, rng: nc.RngStream,
         # eligible cells can carry zero probability only on an all-zero profile
         p_eff = eligible.astype(np.float64)
         total = p_eff.sum()
-    p_eff = p_eff / total
-    idx = rng.categorical(p_eff, K)
-    return [cells[i] for i in idx], tau, halvings
+    return _categorical(cells, p_eff / total, K, rng), tau, halvings
 
 
-def normal_timestep_cells(layers, T: int, K: int, rng: nc.RngStream, mu_frac: float = 0.5,
-                          sigma_frac: float = 0.25):
-    """K cells: timesteps ~ N(mu_frac T, (sigma_frac T)^2) rounded into 1..T, layers uniform."""
-    if not (0.0 < mu_frac < 1.0):
-        raise ValueError("mu_frac must lie in (0, 1)")
-    z = rng.standard_normal(K)
-    ts = np.clip(np.rint(mu_frac * T + sigma_frac * T * z), 1, T).astype(int)
-    li = rng.integers(0, len(layers), size=K)
-    return [(layers[l], int(t)) for l, t in zip(li, ts)]
+def normal_timestep_pmf(T: int) -> np.ndarray:
+    """P(t), t = 1..T, of clip(rint(N(0.5 T, (0.25 T)^2)), 1, T): the normal mass of
+    (t - 1/2, t + 1/2), with the tails below 3/2 and above T - 1/2 on t = 1 and t = T."""
+    mu, s2 = NORMAL_MEAN_FRAC * T, NORMAL_STD_FRAC * T * math.sqrt(2.0)  # cdf: erfc((mu - x) / s2) / 2
+    return np.diff([0.0, *(0.5 * math.erfc((mu - t - 0.5) / s2) for t in range(1, T)), 1.0])
 
 
 class Draw(NamedTuple):  # one strategy's cells, before capture
@@ -108,31 +112,34 @@ class Draw(NamedTuple):  # one strategy's cells, before capture
 
 
 def draw(strategy: str, model, sched, K: int, rng: nc.RngStream, profile=None) -> Draw:
-    """The strategy's K cells, drawn from rng.child(1); variance_aware needs ``profile``."""
-    if K < 1 or strategy not in STRATEGIES:
-        raise ValueError(f"cannot draw K={K} cells by {strategy!r}: need K >= 1, a known strategy")
+    """The strategy's K cells, one categorical draw on rng.child(1) over its weights;
+    variance_aware needs ``profile``, the baselines weigh the model's layers x 1..T."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown calibration strategy {strategy!r}; known: {STRATEGIES}")
     drng, layers = rng.child(1), model.layer_names
     if strategy == "variance_aware":
         cells, tau_used, halvings = draw_cells(profile, K, drng)
         return Draw(strategy, cells, profile.content_hash(),
                     {"tau_var_used": tau_used, "tau_halvings": halvings})
-    if strategy == "random_uniform":  # uniform over layers x timesteps
-        li, ti = drng.integers(0, len(layers), size=K), drng.integers(1, sched.T + 1, size=K)
-        return Draw(strategy, [(layers[l], int(t)) for l, t in zip(li, ti)], "", {})
-    extra = {"mu_frac": 0.5, "sigma_frac": 0.25}
-    return Draw(strategy, normal_timestep_cells(layers, sched.T, K, drng, **extra), "", extra)
+    grid = [(layer, t) for layer in layers for t in range(1, sched.T + 1)]
+    if strategy == "random_uniform":
+        weights, extra = np.full(len(grid), 1.0 / len(grid)), {}
+    else:
+        weights = np.tile(normal_timestep_pmf(sched.T), len(layers)) / len(layers)
+        extra = {"mean_frac": NORMAL_MEAN_FRAC, "std_frac": NORMAL_STD_FRAC}
+    return Draw(strategy, _categorical(grid, weights, K, drng), "", extra)
 
 
-def _capture(model, sched, conds: np.ndarray, timesteps, layers, rngs, batch: int = CAPTURE_BATCH):
+def _capture(model, sched, conds: np.ndarray, timesteps, layers, rngs):
     """Replay every chain once; return each request's activation.
 
-    Chain c drives ``batch`` rows with condition conds[c] from stream rngs[c].
+    Chain c drives CAPTURE_BATCH rows with condition conds[c] from stream rngs[c].
     Request r reads chain r % len(rngs): the input of layer layers[r] on the
     chain's own step at t = timesteps[r], whose forward is on (x_t, t).  A
     chain stops after the step at its smallest requested t.  Chains replay in
     groups of at most CAPTURE_ROWS rows, which bounds the working memory.
     """
-    n = len(rngs)
+    n, batch = len(rngs), CAPTURE_BATCH  # batch: rows per chain
     t_min = np.full(n, sched.T + 1)
     np.minimum.at(t_min, np.arange(len(timesteps)) % n, timesteps)
     order = np.argsort(t_min, kind="stable")  # ascending stops keep running rows a prefix

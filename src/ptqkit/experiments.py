@@ -7,6 +7,7 @@ timestamps, so reruns with the same config and seed hash identically.
 Wall time is recorded in the results ledger but excluded from hashing.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -175,14 +176,7 @@ def cmd_prompts(cfg: ExperimentConfig) -> dict:
     aspects = load_aspects(cfg)
     final, report = build_prompts(cfg, aspects)
     cov.save_prompt_set(final, cfg.resolved_prompts_file())
-    report_doc = {
-        "coverage_rounds": report.coverage_rounds,
-        "redundancy_rounds": report.redundancy_rounds,
-        "generator_calls": report.generator_calls,
-        "uncovered": report.uncovered,
-        "final_redundancy": report.final_redundancy,
-        "n_prompts": len(final.prompts),
-    }
+    report_doc = {**dataclasses.asdict(report), "n_prompts": len(final.prompts)}
     art.write_json(os.path.join(cfg.out_dir, "coverage_report.json"), report_doc, indent=2)
     return append_result(cfg, "prompts", {"metrics": report_doc}, time.monotonic() - t0)
 
@@ -193,6 +187,14 @@ def _profile_for(model, sched, prompts, cfg: ExperimentConfig, seed: int):
                                nc.RngStream(seed, 41), sched.T, model.data_dim)
     dif.reverse_chains(model, sched, conds, noise, tap=tap)
     return prof.build_profile(tap, tau_fraction=cfg.tau_fraction)
+
+
+def pipeline_profile(cfg: ExperimentConfig, model, sched, prompts):
+    """The variance profile of calibset and compare: <out_dir>/profile.tsv when it
+    exists, else the profile built at cfg.seed; floored at cfg.tau_fraction either way."""
+    path = os.path.join(cfg.out_dir, "profile.tsv")
+    return prof.load_profile(path, cfg.tau_fraction) if os.path.exists(path) else \
+        _profile_for(model, sched, prompts, cfg, cfg.seed)
 
 
 def cmd_profile(cfg: ExperimentConfig) -> dict:
@@ -207,14 +209,10 @@ def cmd_profile(cfg: ExperimentConfig) -> dict:
 
 
 def _calibsets(cfg: ExperimentConfig, model, sched, prompts, strategies, seed: int,
-               profile=None) -> list:
+               profile) -> list:
     """One calibration set of cfg.k samples per strategy, built together from stream
-    (seed, 50); variance_aware reads ``profile``, else profile.tsv, else a new profile."""
+    (seed, 50); variance_aware draws from ``profile``, the baselines need none."""
     rng = nc.RngStream(seed, 50)
-    if profile is None and "variance_aware" in strategies:
-        path = os.path.join(cfg.out_dir, "profile.tsv")
-        profile = prof.load_profile(path) if os.path.exists(path) else \
-            _profile_for(model, sched, prompts, cfg, seed)
     draws = [cal.draw(s, model, sched, cfg.k, rng, profile) for s in strategies]
     return cal.build_sets(model, sched, prompts, draws, rng)
 
@@ -224,7 +222,9 @@ def cmd_calibset(cfg: ExperimentConfig) -> dict:
     model, sched = _require_checkpoint(cfg)
     aspects = load_aspects(cfg)
     prompts = load_or_build_prompts(cfg, aspects)
-    cs, = _calibsets(cfg, model, sched, prompts, (cfg.strategy,), cfg.seed)
+    profile = pipeline_profile(cfg, model, sched, prompts) \
+        if cfg.strategy == "variance_aware" else None
+    cs, = _calibsets(cfg, model, sched, prompts, (cfg.strategy,), cfg.seed, profile)
     cal.save_calibration_set(cs, os.path.join(cfg.out_dir, "calibset.json"))
     payload = {"metrics": {"strategy": cs.strategy, "K": cs.K,
                            "set_hash": cal.calibration_set_hash(cs)}}
@@ -334,13 +334,11 @@ def _score_sets(cfg: ExperimentConfig, model, sched, prompts, sets, seed: int) -
     return evaluate_models(model, qmodels, sched, prompts, cfg.cond_embed_dim, cfg.n_eval, seed)
 
 
-def compare_one_seed(cfg: ExperimentConfig, model, sched, prompts, seed: int,
-                     write_sets: bool = False, profile=None) -> dict:
+def compare_one_seed(cfg: ExperimentConfig, model, sched, prompts, seed: int, profile,
+                     write_sets: bool = False) -> dict:
     # The profile characterizes the model, so it is shared across comparison
     # seeds; only the calibration draw and evaluation chains vary with seed.
-    if profile is None:
-        profile = _profile_for(model, sched, prompts, cfg, cfg.seed)
-    sets = _calibsets(cfg, model, sched, prompts, cal.STRATEGIES, seed, profile=profile)
+    sets = _calibsets(cfg, model, sched, prompts, cal.STRATEGIES, seed, profile)
     if write_sets:
         for cs in sets:
             cal.save_calibration_set(cs, os.path.join(cfg.out_dir, f"calibset_{cs.strategy}.json"))
@@ -354,11 +352,11 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
     aspects = load_aspects(cfg)
     prompts = load_or_build_prompts(cfg, aspects)
     seeds = [cfg.seed + i for i in range(cfg.compare_seeds)]
-    profile = _profile_for(model, sched, prompts, cfg, cfg.seed)
+    profile = pipeline_profile(cfg, model, sched, prompts)
 
     def _one(seed):
-        return compare_one_seed(cfg, model, sched, prompts, seed,
-                                write_sets=(seed == seeds[0]), profile=profile)
+        return compare_one_seed(cfg, model, sched, prompts, seed, profile,
+                                write_sets=(seed == seeds[0]))
 
     results = _map_seeds(_one, seeds, cfg.jobs)
     rows = [(st, s, res[st]["fd"], res[st]["kl"], res[st]["mse"])
@@ -399,7 +397,7 @@ def cmd_scale(cfg: ExperimentConfig) -> dict:
 
         def _one(seed, cp=calib_prompts):
             profile = _profile_for(model, sched, cp, cfg, seed)
-            sets = _calibsets(cfg, model, sched, cp, ("variance_aware",), seed, profile=profile)
+            sets = _calibsets(cfg, model, sched, cp, ("variance_aware",), seed, profile)
             return _score_sets(cfg, model, sched, eval_prompts, sets, seed)[0]
 
         results = _map_seeds(_one, seeds, cfg.jobs)

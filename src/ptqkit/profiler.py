@@ -8,12 +8,13 @@ Cells are keyed by (layer, timestep) so the profile can express both
 """
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .artifacts import read_tsv, write_tsv
-from .errors import InsufficientDataError
+from .errors import ConfigError, InsufficientDataError
 
 
 class _CellStats:
@@ -149,12 +150,20 @@ def export_profile(profile: LayerVarianceProfile, path) -> None:
               comment={"tau_fraction": profile.tau_fraction, "tau_var": profile.tau_var})
 
 
-def load_profile(path) -> LayerVarianceProfile:
+def load_profile(path, tau_fraction: float) -> LayerVarianceProfile:
+    """A profile.tsv file's profile, floored at ``tau_fraction`` (not the file's ``#`` line).
+    No cells, a count below 2, or a negative, NaN or infinite variance is a ConfigError."""
     # columns by name: older files add a sigma_hat column
-    comment, rows = read_tsv(path, {"layer": str, "timestep": int, "count": int, "mean": float,
-                                    "variance": float})
+    _, rows = read_tsv(path, {"layer": str, "timestep": int, "count": int, "mean": float,
+                              "variance": float})
     cells = {(r["layer"], r["timestep"]): r for r in rows}
-    return profile_from_variances({c: r["variance"] for c, r in cells.items()},
-                                  float(comment.get("tau_fraction", 0.10)),
+    for (layer, t), r in cells.items():
+        if r["count"] < 2 or not 0.0 <= r["variance"] < math.inf:
+            raise ConfigError(f"{path}: cell ({layer}, {t}) has count {r['count']} and variance "
+                              f"{r['variance']!r}; a cell needs count >= 2 and a finite "
+                              "variance >= 0")
+    if not cells:
+        raise ConfigError(f"{path} holds no profile cells")
+    return profile_from_variances({c: r["variance"] for c, r in cells.items()}, tau_fraction,
                                   counts={c: r["count"] for c, r in cells.items()},
                                   means={c: r["mean"] for c, r in cells.items()})

@@ -13,7 +13,7 @@ Rounding is half-away-from-zero, frozen for cross-platform determinism.
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -67,19 +67,6 @@ class QuantParams:
     @property
     def c_max(self) -> int:
         return grid_bounds(self.bitwidth)[1]
-
-    def to_dict(self) -> dict:
-        return {
-            "scale": self.scale,
-            "zero_point": self.zero_point,
-            "bitwidth": self.bitwidth,
-            "mode": self.mode,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QuantParams":
-        return cls(scale=d["scale"], zero_point=d["zero_point"], bitwidth=d["bitwidth"],
-                   mode=d["mode"])
 
 
 def fit_params(samples, bitwidth: int, mode: str = "symmetric", method: str = "minmax",
@@ -277,8 +264,8 @@ def save_quantized_checkpoint(qmodel: QuantizedModel, sched, path) -> None:
     }
     doc["quant_params"] = {
         name: {
-            "weight": qmodel.weight_params[name].to_dict() if qmodel.weight_params[name] else None,
-            "activation": qmodel.act_params[name].to_dict() if qmodel.act_params[name] else None,
+            "weight": asdict(qmodel.weight_params[name]) if qmodel.weight_params[name] else None,
+            "activation": asdict(qmodel.act_params[name]) if qmodel.act_params[name] else None,
         }
         for name in qmodel.model.layer_names
     }
@@ -294,7 +281,7 @@ def load_quantized_checkpoint(path):
 
     per_layer = {name: (_bits(wb), _bits(ab)) for name, (wb, ab) in doc["policy"]["per_layer"].items()}
     policy = PrecisionPolicy(per_layer, notation=doc["policy"]["notation"])
-    wp, ap = ({name: QuantParams.from_dict(rec[kind]) if rec[kind] else None
+    wp, ap = ({name: QuantParams(**rec[kind]) if rec[kind] else None
                for name, rec in doc["quant_params"].items()} for kind in ("weight", "activation"))
     for lyr in model.layers:  # the saved weights are already fake-quantized
         lyr.quantizer = _input_quantizer(ap[lyr.name])

@@ -72,23 +72,32 @@ class TestBaselineDistributions:
         for n in counts.values():
             assert abs(n / 200_000 - 0.005) <= 0.001
 
-    def test_normal_timestep_mean_near_half_T(self):
-        cells = cal.normal_timestep_cells(LAYERS, T, 100_000, nc.RngStream(7))
-        ts = np.array([t for _, t in cells])
-        assert abs(ts.mean() - 25.0) <= 1.0
+    @staticmethod
+    def _reference_normal_timesteps(T, K, rng):
+        """The clip(rint(N(T/2, (T/4)^2)), 1, T) sampler that the pmf replaces."""
+        return np.clip(np.rint(0.5 * T + 0.25 * T * rng.standard_normal(K)), 1, T).astype(int)
 
-    def test_normal_timestep_degenerate_sigma(self):
-        cells = cal.normal_timestep_cells(LAYERS, T, 500, nc.RngStream(8), sigma_frac=0.0)
-        assert all(t == 25 for _, t in cells)
+    @pytest.mark.parametrize("T_", [50, 4, 1])
+    def test_normal_timestep_pmf_matches_the_clipped_rounded_normal(self, T_):
+        pmf = cal.normal_timestep_pmf(T_)
+        assert pmf.shape == (T_,) and np.all(pmf >= 0.0) and abs(pmf.sum() - 1.0) < 1e-12
+        ts = self._reference_normal_timesteps(T_, 400_000, nc.RngStream(7))
+        freqs = np.bincount(ts, minlength=T_ + 1)[1:] / 400_000
+        assert 0.5 * float(np.abs(freqs - pmf).sum()) < 0.01
+
+    def test_normal_timestep_mean_near_half_T(self):
+        pmf = cal.normal_timestep_pmf(T)
+        assert abs(float(pmf @ np.arange(1, T + 1)) - T / 2) <= 0.05
 
     def test_normal_timestep_clipping(self):
-        cells = cal.normal_timestep_cells(LAYERS, T, 5000, nc.RngStream(9), mu_frac=0.01)
-        ts = [t for _, t in cells]
-        assert min(ts) >= 1 and max(ts) <= 50
-
-    def test_mu_frac_validated(self):
-        with pytest.raises(ValueError):
-            cal.normal_timestep_cells(LAYERS, T, 10, nc.RngStream(0), mu_frac=1.5)
+        # at T = 4 the tails clipped onto t = 1 and t = T carry 31% and 7% of the mass
+        cells = cal.draw("normal_timestep", STUB_MODEL, SimpleNamespace(T=4), 400_000,
+                         nc.RngStream(9)).cells
+        ts = np.array([t for _, t in cells])
+        assert ts.min() == 1 and ts.max() == 4
+        ref = self._reference_normal_timesteps(4, 400_000, nc.RngStream(10))
+        for t in (1, 4):
+            assert abs(np.mean(ts == t) - np.mean(ref == t)) < 0.005
 
     def test_k_validated(self):
         for strategy in ("random_uniform", "normal_timestep"):
@@ -100,15 +109,29 @@ class TestBaselineDistributions:
             cal.draw("uniform", STUB_MODEL, STUB_SCHED, 10, nc.RngStream(0))
 
     def test_draw_takes_the_cells_from_child_stream_1(self):
-        rng = nc.RngStream(6, 50)
-        assert cal.draw("normal_timestep", STUB_MODEL, STUB_SCHED, 30, rng).cells == \
-            cal.normal_timestep_cells(LAYERS, T, 30, rng.child(1))
+        # every strategy is one categorical draw on rng.child(1) over its grid weights
+        rng, K = nc.RngStream(6, 50), 30
+        profile = prof.profile_from_variances(
+            {(l, t): float(t * (i + 1)) for i, l in enumerate(LAYERS) for t in range(1, T + 1)},
+            tau_fraction=0.5)
+        grid = [(l, t) for l in LAYERS for t in range(1, T + 1)]
+        assert profile.cells == grid
+        variances = np.array([profile.variances[c] for c in grid])
+        floored = np.where(variances >= profile.tau_var, profile.probability_vector(), 0.0)
+        weights = {"variance_aware": floored / floored.sum(),
+                   "random_uniform": np.full(len(grid), 1.0 / len(grid)),
+                   "normal_timestep": np.tile(cal.normal_timestep_pmf(T), 4) / 4}
+        for strategy in cal.STRATEGIES:
+            want = [grid[i] for i in rng.child(1).categorical(weights[strategy], K)]
+            assert cal.draw(strategy, STUB_MODEL, STUB_SCHED, K, rng, profile).cells == want
+        assert 0.0 < floored.sum() < 1.0  # the floor removed some cells
 
 
 class TestBuildAndSerialize:
     def _small_set(self, pipeline_cfg, trained, prompt_set, k=12):
         model, sched = trained
-        profile = prof.load_profile(f"{pipeline_cfg.out_dir}/profile.tsv")
+        profile = prof.load_profile(f"{pipeline_cfg.out_dir}/profile.tsv",
+                                    pipeline_cfg.tau_fraction)
         rng = nc.RngStream(31, 50)
         sets = cal.build_sets(model, sched, prompt_set,
                               [cal.draw("variance_aware", model, sched, k, rng, profile)], rng)

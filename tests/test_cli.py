@@ -161,6 +161,31 @@ class TestExitCodes:
         if damage == "version_1":
             assert "rerun the calibset command" in err
 
+    @pytest.mark.parametrize("damage", ["negative_variance", "nan_variance", "inf_variance",
+                                        "count_1", "no_cells"])
+    def test_malformed_profile_is_config_error(self, tmp_path, capsys, damage):
+        cfgfile = _write_config(tmp_path)
+        for cmd in ("train", "profile"):
+            assert cli.main([cmd, "--config", cfgfile]) == cli.EXIT_OK
+        path = tmp_path / "run" / "profile.tsv"
+        lines = path.read_text().splitlines()  # the "#" line, the header, one line per cell
+        if damage == "no_cells":
+            lines = lines[:2]
+        else:
+            col = lines[1].split("\t").index("count" if damage == "count_1" else "variance")
+            fields = lines[5].split("\t")
+            fields[col] = {"negative_variance": "-0.5", "nan_variance": "nan",
+                           "inf_variance": "inf", "count_1": "1"}[damage]
+            lines[5] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        for cmd in ("calibset", "compare"):
+            assert cli.main([cmd, "--config", cfgfile]) == cli.EXIT_CONFIG
+            assert "profile.tsv" in capsys.readouterr().err
+        # a baseline set reads no profile
+        assert cli.main(["calibset", "--config", cfgfile, "--strategy", "random_uniform"]) == \
+            cli.EXIT_OK
+
     def test_training_divergence_is_numeric_error(self, tmp_path):
         cfgfile = _write_config(tmp_path, learning_rate=1e12, epochs=40)
         with pytest.warns(RuntimeWarning):

@@ -7,7 +7,9 @@ import shutil
 import numpy as np
 import pytest
 
+from ptqkit import calibration as cal
 from ptqkit import experiments as exp
+from ptqkit import numeric_core as nc
 from ptqkit import profiler as prof
 from ptqkit.config import ExperimentConfig
 from ptqkit.errors import ConfigError
@@ -54,24 +56,22 @@ class TestSweep:
 
 class TestCompare:
     def test_uniform_variance_profile_levels_the_strategies(self, pipeline_cfg, trained,
-                                                            prompt_set):
-        # with no variance signal, no strategy should hold an edge
+                                                            prompt_set, variance_profile):
+        # with no variance signal, variance_aware weighs the grid as random_uniform does,
+        # and the one shared draw gives both the same cells, sets and scores
         model, sched = trained
-        real = exp._profile_for(model, sched, prompt_set, pipeline_cfg, pipeline_cfg.seed)
-        uniform = prof.profile_from_variances({c: 1.0 for c in real.cells})
-        acc = {}
+        uniform = prof.profile_from_variances({c: 1.0 for c in variance_profile.cells})
         for seed in range(4):
+            va, ru, _ = exp._calibsets(pipeline_cfg, model, sched, prompt_set, cal.STRATEGIES,
+                                       seed, uniform)
+            assert [(s.layer, s.timestep) for s in va.samples] == \
+                [(s.layer, s.timestep) for s in ru.samples]
+            assert cal._sample_docs(va) == cal._sample_docs(ru)
             res = exp.compare_one_seed(pipeline_cfg, model, sched, prompt_set, seed,
                                        profile=uniform)
-            for strategy, r in res.items():
-                acc.setdefault(strategy, []).append(r["fd"])
-        means = {s: float(np.mean(v)) for s, v in acc.items()}
-        assert max(means.values()) - min(means.values()) <= 0.05
+            assert res["variance_aware"] == res["random_uniform"]
 
     def test_uniform_profile_makes_variance_aware_draws_uniform(self):
-        from ptqkit import calibration as cal
-        from ptqkit import numeric_core as nc
-
         cells = {(f"layer{l}", t): 1.0 for l in range(4) for t in range(1, 11)}
         profile = prof.profile_from_variances(cells)
         drawn, _, _ = cal.draw_cells(profile, 100_000, nc.RngStream(3))
@@ -81,6 +81,56 @@ class TestCompare:
         freqs = np.array([counts.get(c, 0) for c in profile.cells]) / 100_000
         tv = 0.5 * float(np.abs(freqs - 1.0 / len(cells)).sum())
         assert tv < 0.01
+
+
+class TestPipelineProfile:
+    """calibset and compare read <out_dir>/profile.tsv, floored at the config's tau_fraction."""
+
+    def test_calibset_floors_profile_tsv_at_the_config_tau_fraction(self, tmp_path,
+                                                                    pipeline_cfg):
+        # profile.tsv was written at tau_fraction 0.1; the run's 0.5 must set the floor
+        cfgs = [_copy_pipeline(pipeline_cfg, tmp_path / name, tau_fraction=0.5, k=32)
+                for name in ("with_file", "without_file")]
+        os.remove(os.path.join(cfgs[1].out_dir, "profile.tsv"))
+        hashes = [exp.cmd_calibset(cfg)["metrics"]["set_hash"] for cfg in cfgs]
+        extras = [cal.load_calibration_set(os.path.join(cfg.out_dir, "calibset.json")).extra
+                  for cfg in cfgs]
+        assert extras[0]["tau_var_used"] == extras[1]["tau_var_used"]
+        assert hashes[0] == hashes[1]
+        profile = prof.load_profile(os.path.join(pipeline_cfg.out_dir, "profile.tsv"), 0.5)
+        assert extras[0]["tau_var_used"] == profile.tau_var == 0.5 * max(profile.variances.values())
+
+    def test_compare_reads_profile_tsv_and_replays_no_profiling_chains(self, tmp_path,
+                                                                       pipeline_cfg,
+                                                                       monkeypatch):
+        cfgs = [_copy_pipeline(pipeline_cfg, tmp_path / name, compare_seeds=1, n_eval=8, k=32)
+                for name in ("with_file", "without_file")]
+        os.remove(os.path.join(cfgs[1].out_dir, "profile.tsv"))
+        offers = []
+        offer = prof.ActivationTap.offer
+        monkeypatch.setattr(prof.ActivationTap, "offer",
+                            lambda tap, layer, t, h: (offers.append((layer, t)),
+                                                      offer(tap, layer, t, h)))
+        exp.cmd_compare(cfgs[0])
+        assert offers == []
+        exp.cmd_compare(cfgs[1])
+        assert offers  # without the file, compare profiles the model at cfg.seed
+        for name in ("compare.tsv", *(f"calibset_{s}.json" for s in cal.STRATEGIES)):
+            a, b = (open(os.path.join(cfg.out_dir, name), "rb").read() for cfg in cfgs)
+            assert a == b, name
+
+    @pytest.mark.parametrize("strategy", ["random_uniform", "normal_timestep"])
+    def test_baseline_calibset_reads_and_builds_no_profile(self, tmp_path, pipeline_cfg,
+                                                           monkeypatch, strategy):
+        cfg = _copy_pipeline(pipeline_cfg, tmp_path / "run", strategy=strategy, k=16)
+        with open(os.path.join(cfg.out_dir, "profile.tsv"), "w") as fh:
+            fh.write("not a profile\n")
+
+        def no_profile(*args):
+            raise AssertionError("a baseline calibset built a profile")
+
+        monkeypatch.setattr(exp, "_profile_for", no_profile)
+        assert exp.cmd_calibset(cfg)["metrics"]["strategy"] == strategy
 
 
 class TestScale:

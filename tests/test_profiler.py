@@ -142,7 +142,7 @@ class TestProfileIO:
         profile = prof.profile_from_variances(variances, tau_fraction=0.25)
         path = tmp_path / "profile.tsv"
         prof.export_profile(profile, path)
-        loaded = prof.load_profile(path)
+        loaded = prof.load_profile(path, 0.25)
         assert loaded.cells == profile.cells
         assert loaded.tau_fraction == profile.tau_fraction
         for c in profile.cells:
@@ -156,12 +156,22 @@ class TestProfileIO:
                         "layer\ttimestep\tcount\tmean\tvariance\tsigma_hat\tp\n"
                         "layer0\t1\t4\t0.5\t1.0\t0.25\t0.25\n"
                         "layer0\t2\t4\t-0.5\t3.0\t0.75\t0.75\n")
-        loaded = prof.load_profile(path)
+        loaded = prof.load_profile(path, 0.25)
         assert loaded.cells == [("layer0", 1), ("layer0", 2)]
         assert loaded.counts == {("layer0", 1): 4, ("layer0", 2): 4}
         assert loaded.means == {("layer0", 1): 0.5, ("layer0", 2): -0.5}
         assert loaded.probabilities == {("layer0", 1): 0.25, ("layer0", 2): 0.75}
         assert loaded.tau_fraction == 0.25 and loaded.tau_var == 0.75
+
+    def test_load_floors_at_the_callers_tau_fraction(self, tmp_path):
+        # the floor follows the caller, not the tau_fraction the file was written with
+        profile = prof.profile_from_variances({("layer0", 1): 1.0, ("layer0", 2): 4.0},
+                                              tau_fraction=0.1)
+        path = tmp_path / "profile.tsv"
+        prof.export_profile(profile, path)
+        loaded = prof.load_profile(path, 0.5)
+        assert (loaded.tau_fraction, loaded.tau_var) == (0.5, 2.0)
+        assert loaded.content_hash() == profile.content_hash()
 
     def test_content_hash_tracks_variances(self):
         a = prof.profile_from_variances({("l", 1): 1.0, ("l", 2): 2.0})
