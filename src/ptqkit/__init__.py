@@ -5,7 +5,7 @@ Subpackages:
     numeric_core  -- tensor coercion, seeded RNG
     diffusion     -- the toy DDPM (schedules, training, generation)
     quantizer     -- affine quantization, precision policies, size accounting
-    profiler      -- streaming activation statistics and variance profiles
+    profiler      -- per-cell activation moments and variance profiles
     calibration   -- variance-aware / random / normal calibration samplers
     coverage      -- aspect coverage vectors and prompt augmentation
     metrics       -- Frechet distance and Gaussian KL

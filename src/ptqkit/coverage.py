@@ -151,7 +151,7 @@ class MockCaptionGenerator(CaptionGenerator):
     caption built from the aspect's own lexicon.  When asked about an
     already-covered aspect (a diversity re-prompt), it widens the caption
     with a second aspect chosen from the context hash, so the coverage
-    vector changes between rounds.
+    vector changes between rounds; a one-aspect set has none to add.
     """
 
     def __init__(self, aspects: AspectSet, seed: int = 0):
@@ -173,7 +173,7 @@ class MockCaptionGenerator(CaptionGenerator):
             for i, b in enumerate(compute_coverage_vector(text, self.aspects)):
                 ctx_coverage[i] = max(ctx_coverage[i], b)
         target_idx = self.aspects.index(aspect.aspect_id)
-        if ctx_coverage[target_idx]:
+        if ctx_coverage[target_idx] and len(self.aspects) > 1:
             other = self.aspects.aspects[(target_idx + 1 + h % (len(self.aspects) - 1)) % len(self.aspects)]
             other_phrase = other.lexicon[(h >> 16) % len(other.lexicon)]
             return f"a recording of {phrase} together with {other_phrase}"

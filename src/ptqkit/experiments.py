@@ -182,7 +182,7 @@ def cmd_prompts(cfg: ExperimentConfig) -> dict:
 
 
 def _profile_for(model, sched, prompts, cfg: ExperimentConfig, seed: int):
-    tap = prof.ActivationTap(model.layer_names)
+    tap = prof.ActivationTap()
     conds, noise = _chain_rows(prompts, cfg.cond_embed_dim, cfg.n_profile_chains,
                                nc.RngStream(seed, 41), sched.T, model.data_dim)
     dif.reverse_chains(model, sched, conds, noise, tap=tap)
@@ -191,10 +191,17 @@ def _profile_for(model, sched, prompts, cfg: ExperimentConfig, seed: int):
 
 def pipeline_profile(cfg: ExperimentConfig, model, sched, prompts):
     """The variance profile of calibset and compare: <out_dir>/profile.tsv when it
-    exists, else the profile built at cfg.seed; floored at cfg.tau_fraction either way."""
+    exists, else the profile built at cfg.seed; floored at cfg.tau_fraction either way.
+    A file cell outside the model's layers x timesteps 1..T is a ConfigError."""
     path = os.path.join(cfg.out_dir, "profile.tsv")
-    return prof.load_profile(path, cfg.tau_fraction) if os.path.exists(path) else \
-        _profile_for(model, sched, prompts, cfg, cfg.seed)
+    if not os.path.exists(path):
+        return _profile_for(model, sched, prompts, cfg, cfg.seed)
+    profile = prof.load_profile(path, cfg.tau_fraction)
+    for layer, t in profile.cells:
+        if layer not in model.layer_names or not 1 <= t <= sched.T:
+            raise ConfigError(f"{path}: cell ({layer}, {t}) is outside the model's grid of "
+                              f"layers {', '.join(model.layer_names)} x timesteps 1..{sched.T}")
+    return profile
 
 
 def cmd_profile(cfg: ExperimentConfig) -> dict:
@@ -266,6 +273,9 @@ def evaluate_models(model, qmodels, sched, prompts, cond_dim: int, n_eval: int, 
     """Paired generation: each of ``qmodels`` replays the chain noise of one
     full-precision batch -> FD, KL, and output MSE per model."""
     per = max(n_eval // len(prompts.prompts), 1)
+    if per * len(prompts.prompts) < 2:
+        raise ConfigError(f"n_eval {n_eval} with {len(prompts.prompts)} prompt(s) gives one "
+                          "evaluation chain; FD and KL need at least two")
     conds, noise = _chain_rows(prompts, cond_dim, per, nc.RngStream(seed, 60), sched.T,
                                model.data_dim)
     full = dif.reverse_chains(model, sched, conds, noise)

@@ -1,10 +1,10 @@
-"""Streaming per-(layer, timestep) activation statistics and variance profiles.
+"""Per-(layer, timestep) activation statistics and variance profiles.
 
-The tap is handed to the batched reverse-chain engine; every monitored
-layer input at every timestep (all running chains' rows in one offer)
-updates an exact Welford-style accumulator of count, mean and variance.
-Cells are keyed by (layer, timestep) so the profile can express both
-"which layer" and "which timestep" carries the variance.
+The tap is handed to the batched reverse-chain engine, which offers all
+running chains' rows of a (layer, timestep) cell at once; each cell's
+count, mean and population variance come from that one offer.  Cells are
+keyed by (layer, timestep) so the profile can express both "which layer"
+and "which timestep" carries the variance.
 """
 
 import hashlib
@@ -17,62 +17,25 @@ from .artifacts import read_tsv, write_tsv
 from .errors import ConfigError, InsufficientDataError
 
 
-class _CellStats:
-    """One (layer, timestep) cell: running count, mean and M2."""
-
-    __slots__ = ("count", "mean", "m2")
-
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def update(self, values: np.ndarray) -> None:
-        # Chan's parallel combination of (count, mean, M2) -- exact, so the
-        # streaming variance matches a two-pass computation bit-for-bit
-        # within float tolerance regardless of chunking.
-        m = values.size
-        b_mean = float(np.mean(values))
-        b_m2 = float(np.sum((values - b_mean) ** 2))
-        delta = b_mean - self.mean
-        total = self.count + m
-        self.mean += delta * m / total
-        self.m2 += b_m2 + delta * delta * self.count * m / total
-        self.count = total
-
-    @property
-    def variance(self) -> float:
-        return self.m2 / self.count if self.count else 0.0
-
-
 class ActivationTap:
-    """Consumer of per-layer inputs during generation.
+    """Consumer of per-layer inputs during generation: one offer per cell.
 
-    Offers for layers outside ``monitored_layers`` are silently ignored.
     Single-writer by contract; the generation harness serializes calls.
     """
 
-    def __init__(self, monitored_layers):
-        self.monitored_layers = frozenset(monitored_layers)
-        self._cells = {}
+    def __init__(self):
+        self.counts, self.means, self.variances = {}, {}, {}
 
     def offer(self, layer: str, t: int, values) -> None:
-        if layer not in self.monitored_layers:
-            return
-        values = np.asarray(values, dtype=np.float64).ravel()
-        if values.size == 0:
-            return
         key = (layer, int(t))
-        cell = self._cells.get(key)
-        if cell is None:
-            cell = self._cells[key] = _CellStats()
-        cell.update(values)
-
-    def cells(self):
-        return sorted(self._cells)
-
-    def cell_stats(self, layer: str, t: int) -> _CellStats:
-        return self._cells[(layer, int(t))]
+        if key in self.counts:
+            raise ValueError(f"cell {key} was offered twice")
+        v = np.asarray(values, dtype=np.float64).ravel()
+        if v.size < 2:
+            raise InsufficientDataError(f"cell {key} has count {v.size} < 2")
+        mean = float(np.mean(v))
+        self.counts[key], self.means[key] = v.size, mean
+        self.variances[key] = float(np.sum((v - mean) ** 2)) / v.size
 
 
 @dataclass
@@ -98,23 +61,11 @@ class LayerVarianceProfile:
 
 
 def build_profile(tap: ActivationTap, tau_fraction: float = 0.10) -> LayerVarianceProfile:
-    """Normalize cell variances into sampling probabilities.
-
-    tau_var is tau_fraction times the maximum cell variance.  Every cell
-    must hold at least two observations.
-    """
-    cells = tap.cells()
-    if not cells:
+    """The tap's cell variances as sampling probabilities; tau_var is tau_fraction x the max."""
+    if not tap.counts:
         raise InsufficientDataError("tap recorded no cells")
-    counts, means, variances = {}, {}, {}
-    for key in cells:
-        cs = tap.cell_stats(*key)
-        if cs.count < 2:
-            raise InsufficientDataError(f"cell {key} has count {cs.count} < 2")
-        counts[key] = cs.count
-        means[key] = cs.mean
-        variances[key] = cs.variance
-    return profile_from_variances(variances, tau_fraction, counts=counts, means=means)
+    return profile_from_variances(tap.variances, tau_fraction, counts=tap.counts,
+                                  means=tap.means)
 
 
 def profile_from_variances(variances: dict, tau_fraction: float = 0.10, counts=None,
@@ -152,12 +103,17 @@ def export_profile(profile: LayerVarianceProfile, path) -> None:
 
 def load_profile(path, tau_fraction: float) -> LayerVarianceProfile:
     """A profile.tsv file's profile, floored at ``tau_fraction`` (not the file's ``#`` line).
-    No cells, a count below 2, or a negative, NaN or infinite variance is a ConfigError."""
+    No cells, a cell listed twice, a count below 2, or a negative, NaN or infinite variance
+    is a ConfigError."""
     # columns by name: older files add a sigma_hat column
     _, rows = read_tsv(path, {"layer": str, "timestep": int, "count": int, "mean": float,
                               "variance": float})
-    cells = {(r["layer"], r["timestep"]): r for r in rows}
-    for (layer, t), r in cells.items():
+    cells = {}
+    for r in rows:
+        layer, t = key = r["layer"], r["timestep"]
+        if key in cells:
+            raise ConfigError(f"{path}: cell ({layer}, {t}) is listed twice")
+        cells[key] = r
         if r["count"] < 2 or not 0.0 <= r["variance"] < math.inf:
             raise ConfigError(f"{path}: cell ({layer}, {t}) has count {r['count']} and variance "
                               f"{r['variance']!r}; a cell needs count >= 2 and a finite "

@@ -162,18 +162,27 @@ class TestExitCodes:
             assert "rerun the calibset command" in err
 
     @pytest.mark.parametrize("damage", ["negative_variance", "nan_variance", "inf_variance",
-                                        "count_1", "no_cells"])
+                                        "count_1", "no_cells", "late_timesteps",
+                                        "unknown_layer", "listed_twice"])
     def test_malformed_profile_is_config_error(self, tmp_path, capsys, damage):
         cfgfile = _write_config(tmp_path)
         for cmd in ("train", "profile"):
             assert cli.main([cmd, "--config", cfgfile]) == cli.EXIT_OK
         path = tmp_path / "run" / "profile.tsv"
         lines = path.read_text().splitlines()  # the "#" line, the header, one line per cell
+        fields = lines[5].split("\t")  # cell (layer0, 4)
+        cell = "(layer0, 4)"
         if damage == "no_cells":
-            lines = lines[:2]
+            lines, cell = lines[:2], ""
+        elif damage == "late_timesteps":  # as a checkpoint with T > 50 leaves it
+            lines[2:12] = ["\t".join([fields[0], str(50 + t), *fields[2:]]) for t in range(1, 11)]
+            cell = "(layer0, 51)"
+        elif damage == "unknown_layer":
+            lines[5], cell = "\t".join(["enc3", *fields[1:]]), "(enc3, 4)"
+        elif damage == "listed_twice":
+            lines.append(lines[5])
         else:
             col = lines[1].split("\t").index("count" if damage == "count_1" else "variance")
-            fields = lines[5].split("\t")
             fields[col] = {"negative_variance": "-0.5", "nan_variance": "nan",
                            "inf_variance": "inf", "count_1": "1"}[damage]
             lines[5] = "\t".join(fields)
@@ -181,10 +190,23 @@ class TestExitCodes:
         capsys.readouterr()
         for cmd in ("calibset", "compare"):
             assert cli.main([cmd, "--config", cfgfile]) == cli.EXIT_CONFIG
-            assert "profile.tsv" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert str(path) in err and cell in err
+        assert not (tmp_path / "run" / "calibset.json").exists()  # rejected before any capture
         # a baseline set reads no profile
         assert cli.main(["calibset", "--config", cfgfile, "--strategy", "random_uniform"]) == \
             cli.EXIT_OK
+
+    def test_one_evaluation_chain_is_config_error(self, tmp_path, capsys):
+        cfgfile = _write_config(tmp_path, n_eval=1)
+        for cmd in ("prompts", "train"):
+            assert cli.main([cmd, "--config", cfgfile]) == cli.EXIT_OK
+        path = tmp_path / "run" / "prompts.tsv"
+        path.write_text("\n".join(path.read_text().splitlines()[:3]) + "\n")  # one prompt
+        capsys.readouterr()
+        for argv in (["sweep"], ["quantize", "--policy", "8WfullA"]):
+            assert cli.main([*argv, "--config", cfgfile]) == cli.EXIT_CONFIG
+            assert "n_eval 1 with 1 prompt(s)" in capsys.readouterr().err
 
     def test_training_divergence_is_numeric_error(self, tmp_path):
         cfgfile = _write_config(tmp_path, learning_rate=1e12, epochs=40)
@@ -353,6 +375,16 @@ class TestCliBehavior:
         with pytest.raises(SystemExit) as exc:
             cli.main(["scale", "--config", cfgfile, "--counts", "2,x"])
         assert exc.value.code == cli.EXIT_CONFIG
+
+    def test_scale_on_a_one_aspect_lexicon(self, tmp_path):
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text(json.dumps([{"id": "alarm", "name": "Alarm", "phrases": ["alarm"]}]))
+        cfgfile = _write_config(tmp_path, lexicon=str(lexicon), scale_seeds=1, policy="8WfullA",
+                                batch_size=8)  # one prompt: 8 training rows
+        assert cli.main(["train", "--config", cfgfile]) == cli.EXIT_OK
+        assert cli.main(["scale", "--config", cfgfile, "--counts", "1,3"]) == cli.EXIT_OK
+        rows = (tmp_path / "run" / "scale.tsv").read_text().splitlines()[1:]
+        assert [row.split("\t")[2] for row in rows] == ["0", "0"]  # nothing left uncovered
 
     def test_report_regeneration_byte_identical(self, tmp_path):
         cfgfile = _write_config(tmp_path)

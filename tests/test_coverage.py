@@ -193,6 +193,14 @@ class TestAugment:
 
         assert run() == run()
 
+    def test_mock_on_a_one_aspect_set_repeats_without_widening(self):
+        one = cov.AspectSet([cov.Aspect("speech", "Speech", ("speech", "talking"))])
+        gen = cov.MockCaptionGenerator(one, seed=0)
+        first = gen.generate(one.aspects[0], [])
+        again = gen.generate(one.aspects[0], [first])  # already covered, no other aspect
+        assert again.startswith("a recording of ") and "together with" not in again
+        assert cov.compute_coverage_vector(again, one) == (1,)
+
     def test_i_max_must_be_positive(self, aspects):
         with pytest.raises(ValueError):
             cov.augment(cov.PromptSet(prompts=[]), aspects,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 import shutil
 
 import numpy as np
@@ -48,7 +49,7 @@ class TestSweep:
             cfg = _copy_pipeline(pipeline_cfg, tmp_path / f"jobs{jobs}", sweep_seeds=2, n_eval=8,
                                  jobs=jobs)
             exp.cmd_sweep(cfg)
-            tables[jobs] = [open(os.path.join(cfg.out_dir, name), "rb").read()
+            tables[jobs] = [pathlib.Path(cfg.out_dir, name).read_bytes()
                             for name in ("sweep.tsv", "sweep_per_seed.tsv")]
         assert tables[1] == tables[2]
         assert tables[1][1].count(b"\n") == 1 + 2 * (1 + len(pipeline_cfg.sweep_bits))
@@ -116,7 +117,7 @@ class TestPipelineProfile:
         exp.cmd_compare(cfgs[1])
         assert offers  # without the file, compare profiles the model at cfg.seed
         for name in ("compare.tsv", *(f"calibset_{s}.json" for s in cal.STRATEGIES)):
-            a, b = (open(os.path.join(cfg.out_dir, name), "rb").read() for cfg in cfgs)
+            a, b = (pathlib.Path(cfg.out_dir, name).read_bytes() for cfg in cfgs)
             assert a == b, name
 
     @pytest.mark.parametrize("strategy", ["random_uniform", "normal_timestep"])

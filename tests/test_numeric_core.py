@@ -91,17 +91,13 @@ class TestGaussianSample:
 
 
 class TestMeanAndVariance:
-    """Population moments (divide by N, not N-1), as a profiler cell accumulates them."""
+    """Population moments (divide by N, not N-1), as a profiler cell takes them from its offer."""
 
     @staticmethod
-    def _tap(values):
-        tap = prof.ActivationTap({"a"})
+    def _moments(values):
+        tap = prof.ActivationTap()
         tap.offer("a", 1, np.asarray(values, dtype=np.float64))
-        return tap
-
-    def _moments(self, values):
-        cs = self._tap(values).cell_stats("a", 1)
-        return cs.mean, cs.variance
+        return tap.means[("a", 1)], tap.variances[("a", 1)]
 
     def test_constant_input(self):
         assert self._moments([5, 5, 5]) == (5.0, 0.0)
@@ -112,8 +108,9 @@ class TestMeanAndVariance:
         assert var == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_singleton(self):
-        assert self._moments([0]) == (0.0, 0.0)
+        with pytest.raises(InsufficientDataError):
+            self._moments([0])
 
     def test_empty_rejected(self):
         with pytest.raises(InsufficientDataError):
-            prof.build_profile(self._tap([]))
+            self._moments([])

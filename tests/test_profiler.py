@@ -1,4 +1,4 @@
-"""Streaming activation statistics and variance profiles."""
+"""Per-cell activation statistics and variance profiles."""
 
 import math
 
@@ -37,50 +37,46 @@ def activation_divergence(profile_a, profile_b) -> dict:
 
 
 def _tap_with(values_by_cell):
-    tap = prof.ActivationTap({layer for layer, _ in values_by_cell})
-    for (layer, t), chunks in values_by_cell.items():
-        for chunk in chunks:
-            tap.offer(layer, t, np.asarray(chunk, dtype=np.float64))
+    """A tap given one offer per cell, as the batched engine offers them."""
+    tap = prof.ActivationTap()
+    for (layer, t), values in values_by_cell.items():
+        tap.offer(layer, t, np.asarray(values, dtype=np.float64))
     return tap
 
 
 class TestActivationTap:
     def test_constant_stream_zero_variance(self):
-        tap = _tap_with({("a", 1): [[5.0]] * 10})
-        assert tap.cell_stats("a", 1).variance == 0.0
+        tap = _tap_with({("a", 1): [5.0] * 10})
+        assert tap.variances[("a", 1)] == 0.0
 
     def test_streaming_matches_two_pass(self):
-        tap = _tap_with({("a", 1): [[1, 2, 3], [4, 5]]})
         xs = np.array([1, 2, 3, 4, 5], dtype=np.float64)
+        tap = _tap_with({("a", 1): xs})
         two_pass = float(np.mean((xs - xs.mean()) ** 2))
-        assert tap.cell_stats("a", 1).variance == pytest.approx(two_pass, rel=1e-12)
+        assert tap.variances[("a", 1)] == pytest.approx(two_pass, rel=1e-12)
 
-    def test_streaming_matches_two_pass_on_random_chunked_stream(self):
-        rng = nc.RngStream(19)
-        values = 3.0 * rng.standard_normal(5000) + 1.0
-        # replay in irregular chunks
-        tap = prof.ActivationTap({"a"})
-        i = 0
-        k = 0
-        while i < values.size:
-            step = int(rng.child(9, k).integers(1, 97)[0])
-            tap.offer("a", 1, values[i : i + step])
-            i += step
-            k += 1
-        mean = float(np.mean(values))
-        var = float(np.mean((values - mean) ** 2))  # two-pass population variance
-        cs = tap.cell_stats("a", 1)
-        assert cs.mean == pytest.approx(mean, rel=1e-9)
-        assert cs.variance == pytest.approx(var, rel=1e-9)
+    def test_one_offer_gives_population_moments(self):
+        tap = _tap_with({("a", 1): [[1.0, 2.0], [4.0, 9.0]]})  # rows x width, ravelled
+        assert tap.counts[("a", 1)] == 4
+        assert tap.means[("a", 1)] == 4.0
+        assert tap.variances[("a", 1)] == (9.0 + 4.0 + 0.0 + 25.0) / 4
 
-    def test_unmonitored_layers_ignored(self):
-        tap = prof.ActivationTap({"a"})
-        tap.offer("b", 1, np.array([1.0, 2.0]))
-        assert tap.cells() == []
+    def test_repeated_offer_rejected(self):
+        tap = _tap_with({("a", 1): [1.0, 2.0]})
+        tap.offer("a", 2, [1.0, 2.0])  # another timestep is another cell
+        with pytest.raises(ValueError, match="offered twice"):
+            tap.offer("a", 1, [3.0, 4.0])
+
+    def test_offer_of_fewer_than_two_values_rejected(self):
+        tap = prof.ActivationTap()
+        for values in ([], [7.0]):
+            with pytest.raises(InsufficientDataError):
+                tap.offer("a", 1, values)
+        assert tap.counts == {}
 
     def test_cells_keyed_by_layer_and_timestep(self):
-        tap = _tap_with({("a", 1): [[1.0, 2.0]], ("a", 2): [[3.0, 4.0]], ("b", 1): [[5.0, 6.0]]})
-        assert tap.cells() == [("a", 1), ("a", 2), ("b", 1)]
+        tap = _tap_with({("b", 1): [5.0, 6.0], ("a", 2): [3.0, 4.0], ("a", 1): [1.0, 2.0]})
+        assert prof.build_profile(tap).cells == [("a", 1), ("a", 2), ("b", 1)]
 
 
 class TestBuildProfile:
@@ -119,17 +115,15 @@ class TestBuildProfile:
         assert profile.tau_var == 0.0
 
     def test_undersampled_cell_rejected(self):
-        tap = _tap_with({("a", 1): [[7.0]]})  # single observation
-        with pytest.raises(InsufficientDataError):
-            prof.build_profile(tap)
+        with pytest.raises(InsufficientDataError, match="count 1 < 2"):
+            _tap_with({("a", 1): [7.0]})  # single observation
 
     def test_empty_tap_rejected(self):
-        tap = prof.ActivationTap({"a"})
         with pytest.raises(InsufficientDataError):
-            prof.build_profile(tap)
+            prof.build_profile(prof.ActivationTap())
 
     def test_build_from_tap_carries_counts_and_means(self):
-        tap = _tap_with({("a", 1): [[1.0, 2.0, 3.0]], ("a", 2): [[4.0, 5.0]]})
+        tap = _tap_with({("a", 1): [1.0, 2.0, 3.0], ("a", 2): [4.0, 5.0]})
         profile = prof.build_profile(tap)
         assert profile.counts == {("a", 1): 3, ("a", 2): 2}
         assert profile.means == {("a", 1): 2.0, ("a", 2): 4.5}
@@ -182,8 +176,8 @@ class TestProfileIO:
 
 class TestActivationDivergence:
     def test_profile_vs_itself_zero_gaps(self):
-        tap = _tap_with({("a", 1): [nc.RngStream(3).uniform(100)],
-                         ("a", 2): [nc.RngStream(4).uniform(100)]})
+        tap = _tap_with({("a", 1): nc.RngStream(3).uniform(100),
+                         ("a", 2): nc.RngStream(4).uniform(100)})
         profile = prof.build_profile(tap)
         report = activation_divergence(profile, profile)
         for cell_report in report.values():
@@ -201,7 +195,7 @@ class TestActivationDivergence:
         model, sched = trained
 
         def profile_for(prompt):
-            tap = prof.ActivationTap(model.layer_names)
+            tap = prof.ActivationTap()
             c = dif.condition_embedding(prompt.text, prompt.bits, model.cond_embed_dim)
             generate(model, c, sched, 4, nc.RngStream(0, 41), tap=tap)
             return prof.build_profile(tap)
