@@ -8,7 +8,7 @@ Exit codes:
     0  success
     2  configuration error (bad config file, key, policy, or missing path)
     3  data error (insufficient statistics, calibration coverage)
-    4  numeric error (training divergence, degenerate profile)
+    4  numeric error (training or reverse-chain divergence, degenerate profile)
     1  anything else
 """
 
@@ -19,13 +19,8 @@ import sys
 from . import experiments as exp
 from .calibration import STRATEGIES
 from .config import load_config
-from .errors import (
-    CalibrationCoverageError,
-    ConfigError,
-    DegenerateProfileError,
-    InsufficientDataError,
-    TrainingDivergenceError,
-)
+from .errors import (CalibrationCoverageError, ChainDivergenceError, ConfigError,
+                     DegenerateProfileError, InsufficientDataError, TrainingDivergenceError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -98,7 +93,7 @@ def main(argv=None) -> int:
     except (InsufficientDataError, CalibrationCoverageError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (TrainingDivergenceError, DegenerateProfileError) as exc:
+    except (TrainingDivergenceError, ChainDivergenceError, DegenerateProfileError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except Exception as exc:  # pragma: no cover - last resort

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numeric_core as nc
 from .artifacts import doc_hash, read_json, write_json
-from .errors import ConfigError, ShapeError, TrainingDivergenceError
+from .errors import ChainDivergenceError, ConfigError, ShapeError, TrainingDivergenceError
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -56,19 +56,6 @@ class NoiseSchedule:
         for i in range(1, T):
             ab[i] = min(ab[i], ab[i - 1] * (1.0 - 1e-12))
         return cls(ab, kind="cosine")
-
-
-@dataclass
-class LatentState:
-    """Diffusion state x_t (or z_t for a latent-space model) at timestep t."""
-
-    t: int
-    value: np.ndarray
-
-    def __post_init__(self):
-        self.value = nc.tensor2d(self.value)
-        if self.t < 0:
-            raise ValueError("timestep must be >= 0")
 
 
 def _stable_floats(tag: str, n: int) -> np.ndarray:
@@ -131,16 +118,17 @@ class AffineLayer:
     """One dense layer: out = act(q(in) @ weight + bias), q the optional input quantizer."""
 
     name: str
-    weight: np.ndarray  # (n_in, n_out)
-    bias: np.ndarray  # (n_out,)
+    weight: np.ndarray  # (n_in, n_out); (M, n_in, n_out) in a stack of M models
+    bias: np.ndarray  # (n_out,); (M, 1, n_out) in a stack
     activation: str = "silu"  # "silu" | "none"
-    quantizer: object = None  # callable array -> array (fake-quant of the input), or None
+    quantizer: object = None  # callable (array, out=None) -> fake-quant of the input, or None
 
     def __post_init__(self):
-        self.weight = nc.tensor2d(self.weight)
-        self.bias = np.asarray(self.bias, dtype=np.float64).ravel()
-        if self.bias.size != self.weight.shape[1]:
-            raise ShapeError(f"layer {self.name}: bias size {self.bias.size} != {self.weight.shape[1]}")
+        if np.ndim(self.weight) != 3:  # a stack's layers were checked one model at a time
+            self.weight = nc.tensor2d(self.weight)
+            self.bias = np.asarray(self.bias, dtype=np.float64).ravel()
+        if self.bias.shape[-1] != self.weight.shape[-1]:
+            raise ShapeError(f"layer {self.name}: bias size {self.bias.shape[-1]} != {self.weight.shape[-1]}")
         if self.activation not in ("silu", "none"):
             raise ValueError(f"unknown activation {self.activation!r}")
 
@@ -159,12 +147,12 @@ class DenoiserModel:
         if len(set(names)) != len(names):
             raise ValueError("layer names must be unique")
         for a, b in zip(layers, layers[1:]):
-            if a.weight.shape[1] != b.weight.shape[0]:
+            if a.weight.shape[-1] != b.weight.shape[-2]:
                 raise ShapeError(f"layers {a.name} -> {b.name} do not chain")
         in_dim = data_dim + time_embed_dim + cond_embed_dim
-        if layers[0].weight.shape[0] != in_dim:
-            raise ShapeError(f"first layer expects {layers[0].weight.shape[0]} inputs, model input is {in_dim}")
-        if layers[-1].weight.shape[1] != data_dim:
+        if layers[0].weight.shape[-2] != in_dim:
+            raise ShapeError(f"first layer expects {layers[0].weight.shape[-2]} inputs, model input is {in_dim}")
+        if layers[-1].weight.shape[-1] != data_dim:
             raise ShapeError("last layer must output data_dim values")
         self.layers = list(layers)
         self.time_embed_dim = int(time_embed_dim)
@@ -191,28 +179,28 @@ class DenoiserModel:
     def copy(self) -> "DenoiserModel":
         return copy.deepcopy(self)
 
-    def assemble_input(self, x: np.ndarray, t, cond, T: int) -> np.ndarray:
-        """Rows [x | time embedding | condition]; ``t`` and ``cond`` are shared or per row."""
-        x = nc.tensor2d(x)
-        te = time_embedding_table(self.time_embed_dim, T)[t]
-        return np.hstack([x, np.broadcast_to(te, (len(x), self.time_embed_dim)),
-                          np.broadcast_to(cond, (len(x), self.cond_embed_dim))])
-
-    def forward(self, u: np.ndarray, tap=None, t: int = None, caches: list = None) -> np.ndarray:
-        """Forward pass; each layer's *input*, after its quantizer if it has one, is
-        offered to the tap.  A ``caches`` list gets one (input, dact) pair per layer:
-        SiLU's derivative s * (1 + z * (1 - s)) from the forward sigmoid s, or None."""
+    def forward(self, u: np.ndarray, tap=None, t: int = None, caches: list = None,
+                work=None) -> np.ndarray:
+        """Forward pass of (rows, n_in) inputs, or (M, rows, n_in) through a stack of M
+        models; each layer's *input*, after its quantizer if it has one, is offered to
+        the tap.  A ``caches`` list gets one (input, dact) pair per layer: SiLU's
+        derivative s * (1 + z * (1 - s)) from the forward sigmoid s, or None.  Layer
+        outputs go to ``work``, two flat arrays of (rows of u) x (widest layer) floats,
+        if given, so the result and the offers are views that the next call overwrites."""
         h = u
         for lyr in self.layers:
-            if lyr.quantizer is not None:
-                h = lyr.quantizer(h)
+            if lyr.quantizer is not None:  # in place, except on the caller's ``u``
+                h = lyr.quantizer(h, out=None if h is u else h)
             if tap is not None:
                 tap.offer(lyr.name, t, h)
-            z = h @ lyr.weight
+            shape = (*h.shape[:-1], lyr.weight.shape[-1])
+            z, e = (None, None) if work is None else \
+                (w[:math.prod(shape)].reshape(shape) for w in work)
+            z = np.matmul(h, lyr.weight, out=z)
             z += lyr.bias
             dact = None
             if lyr.activation == "silu":  # z / (1 + exp(-z))
-                e = np.negative(z)  # one temporary, updated in place: batched chains hold wide arrays
+                e = np.negative(z, out=e)  # updated in place: batched chains hold wide arrays
                 np.exp(e, out=e)
                 e += 1.0
                 if caches is not None:
@@ -223,33 +211,6 @@ class DenoiserModel:
                 caches.append((h, dact))
             h = z
         return h
-
-
-def denoise_step(model, state: LatentState, cond, sched: NoiseSchedule, noise,
-                 tap=None) -> LatentState:
-    """One ancestral reverse step of every row; t == 1 is deterministic (no added noise).
-
-    Uses the posterior variance beta_tilde_t; the final state has t
-    decremented by one.  ``noise`` is the step's standard-normal noise, one
-    value per state entry (unused at t == 1).
-    """
-    t = state.t
-    if t < 1:
-        raise ValueError("cannot denoise a state at t=0")
-    if t > sched.T:
-        raise ValueError(f"state timestep {t} exceeds schedule T={sched.T}")
-    ab_t = sched.alpha_bar[t - 1]
-    ab_prev = sched.alpha_bar[t - 2] if t > 1 else 1.0
-    alpha_t = ab_t / ab_prev
-    beta_t = 1.0 - alpha_t
-    eps_hat = model.forward(model.assemble_input(state.value, t, cond, sched.T), tap=tap, t=t)
-    mean = (state.value - beta_t / math.sqrt(1.0 - ab_t) * eps_hat) / math.sqrt(alpha_t)
-    if t > 1:
-        var = beta_t * (1.0 - ab_prev) / (1.0 - ab_t)
-        x_prev = mean + math.sqrt(var) * noise
-    else:
-        x_prev = mean
-    return LatentState(t=t - 1, value=x_prev)
 
 
 @dataclass
@@ -289,7 +250,7 @@ def training_batch(model: DenoiserModel, x0: np.ndarray, conds: np.ndarray, sche
     """Assemble (u, eps) for a fixed draw of timesteps and noise; ``conds`` has one row per sample."""
     ab = sched.alpha_bar[ts - 1][:, None]
     xt = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-    return model.assemble_input(xt, ts, conds, sched.T), eps
+    return np.hstack([xt, time_embedding_table(model.time_embed_dim, sched.T)[ts], conds]), eps
 
 
 def train(model: DenoiserModel, dataset: np.ndarray, conds, sched: NoiseSchedule,
@@ -342,26 +303,48 @@ def chain_noise(rngs, T: int, data_dim: int, rows: int = 1) -> np.ndarray:
 
 def reverse_chains(model, sched: NoiseSchedule, conds: np.ndarray, noise: np.ndarray,
                    tap=None, stop=None) -> np.ndarray:
-    """Step a batch of reverse chains together from t = T; return each row's final state.
+    """Step a batch of reverse chains together from t = T; return each row's final state,
+    (rows, data_dim), or (M, rows, data_dim) when ``model`` stacks M models.
 
-    Row i has condition conds[i], starts at x_T = noise[0, i], and the step at
-    t > 1 adds noise[T - t + 1, i].  It stops on reaching t = stop[i] (default
-    0); ``stop`` is ascending, so running rows are a prefix of the batch.  The
-    tap sees one offer of all running rows per (layer, t).
+    Row i has condition conds[i], starts at x_T = noise[0, i], and the step at t > 1
+    adds sqrt(beta_tilde_t) noise[T - t + 1, i].  It stops on reaching t = stop[i]
+    (default 0); ``stop`` is ascending, so running rows are a prefix of the batch.
+    The tap sees one offer of all running rows per (layer, t).  A non-finite state
+    stays non-finite, so one check of the final states catches any diverged step.
     """
-    T = sched.T
-    x = noise[0]
-    out = np.empty_like(x)
-    stop = np.zeros(len(x), dtype=np.int64) if stop is None else np.asarray(stop)
-    for t in range(T, 0, -1):
-        n = int(np.searchsorted(stop, t))  # rows with stop < t take this step
-        out[n:len(x)] = x[n:]
-        if n == 0:
-            return out
-        z = noise[T - t + 1, :n] if t > 1 else None
-        x = denoise_step(model, LatentState(t=t, value=x[:n]), conds[:n], sched, z, tap=tap).value
-    out[:len(x)] = x
-    return out
+    T, d, te_dim = sched.T, model.data_dim, model.time_embed_dim
+    coef = {}  # t -> (epsilon coefficient, mean divisor, noise scale) of the step at t
+    for t, ab_t in enumerate(sched.alpha_bar, start=1):
+        ab_prev = sched.alpha_bar[t - 2] if t > 1 else 1.0
+        alpha_t = ab_t / ab_prev
+        beta_t = 1.0 - alpha_t
+        coef[t] = (beta_t / math.sqrt(1.0 - ab_t), math.sqrt(alpha_t),
+                   math.sqrt(beta_t * (1.0 - ab_prev) / (1.0 - ab_t)))
+    stack = model.layers[0].weight.shape[:-2]  # () for one model, (M,) for a stack
+    u = np.empty((*stack, noise.shape[1], d + te_dim + model.cond_embed_dim))
+    u[..., :d], u[..., d + te_dim:] = noise[0], conds  # [x | time embedding | condition]
+    x, te = u[..., :d], u[..., d:d + te_dim]
+    work = np.empty((2, x[..., 0].size * max(lyr.weight.shape[-1] for lyr in model.layers)))
+    stop = np.zeros(noise.shape[1], dtype=np.int64) if stop is None else np.asarray(stop)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports divergence
+        for t in range(T, 0, -1):
+            n = int(np.searchsorted(stop, t))  # rows with stop < t take this step
+            if n == 0:
+                break
+            te[..., :n, :] = time_embedding_table(te_dim, T)[t]
+            eps = model.forward(u[..., :n, :], tap=tap, t=t, work=work)
+            c_eps, c_mean, c_noise = coef[t]
+            eps *= c_eps
+            xs = x[..., :n, :]
+            np.subtract(xs, eps, out=eps)
+            eps /= c_mean
+            if t > 1:
+                eps += c_noise * noise[T - t + 1, :n]
+            xs[...] = eps
+    if not np.all(np.isfinite(x)):
+        raise ChainDivergenceError(f"reverse chains diverged: {np.sum(~np.isfinite(x).all(-1))} "
+                                   f"of {x[..., 0].size} final states are non-finite")
+    return x.copy()
 
 
 def make_mixture_dataset(conds, n_per_cond: int, rng: nc.RngStream, data_dim: int = 2,

@@ -18,6 +18,10 @@ class TrainingDivergenceError(RuntimeError):
         super().__init__(f"training diverged at epoch {epoch} (loss={loss})")
 
 
+class ChainDivergenceError(RuntimeError):
+    """A reverse chain's state became non-finite."""
+
+
 class InsufficientDataError(ValueError):
     """A statistics cell has too few observations."""
 

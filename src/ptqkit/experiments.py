@@ -148,8 +148,7 @@ def _map_seeds(fn, seeds, jobs: int):
 
 def cmd_train(cfg: ExperimentConfig) -> dict:
     t0 = time.monotonic()
-    aspects = load_aspects(cfg)
-    prompts = load_or_build_prompts(cfg, aspects)
+    prompts = load_or_build_prompts(cfg, load_aspects(cfg))
     conds = _conds_for(prompts, cfg.cond_embed_dim)
     sched = make_schedule(cfg)
     rng = nc.RngStream(cfg.seed, 1)
@@ -207,8 +206,7 @@ def pipeline_profile(cfg: ExperimentConfig, model, sched, prompts):
 def cmd_profile(cfg: ExperimentConfig) -> dict:
     t0 = time.monotonic()
     model, sched = _require_checkpoint(cfg)
-    aspects = load_aspects(cfg)
-    prompts = load_or_build_prompts(cfg, aspects)
+    prompts = load_or_build_prompts(cfg, load_aspects(cfg))
     profile = _profile_for(model, sched, prompts, cfg, cfg.seed)
     prof.export_profile(profile, os.path.join(cfg.out_dir, "profile.tsv"))
     payload = {"metrics": {"cells": len(profile.cells), "tau_var": profile.tau_var}}
@@ -227,8 +225,7 @@ def _calibsets(cfg: ExperimentConfig, model, sched, prompts, strategies, seed: i
 def cmd_calibset(cfg: ExperimentConfig) -> dict:
     t0 = time.monotonic()
     model, sched = _require_checkpoint(cfg)
-    aspects = load_aspects(cfg)
-    prompts = load_or_build_prompts(cfg, aspects)
+    prompts = load_or_build_prompts(cfg, load_aspects(cfg))
     profile = pipeline_profile(cfg, model, sched, prompts) \
         if cfg.strategy == "variance_aware" else None
     cs, = _calibsets(cfg, model, sched, prompts, (cfg.strategy,), cfg.seed, profile)
@@ -251,12 +248,12 @@ def cmd_quantize(cfg: ExperimentConfig) -> dict:
         calib = cal.load_calibration_set(path)
     qmodel = qz.quantize_model(model, policy, calib, method=cfg.act_range_method,
                                percentile=cfg.act_percentile)
-    qz.save_quantized_checkpoint(qmodel, sched, os.path.join(cfg.out_dir, "model_quantized.json"))
     full_b, quant_b, red = qz.model_size_bytes(model, policy)
-    aspects = load_aspects(cfg)
-    prompts = load_or_build_prompts(cfg, aspects)
+    prompts = load_or_build_prompts(cfg, load_aspects(cfg))
     quality = evaluate_pair(model, qmodel.model, sched, prompts, cfg.cond_embed_dim,
                             cfg.n_eval, cfg.seed)
+    # saved once the evaluation succeeded, so a failed quantize writes nothing
+    qz.save_quantized_checkpoint(qmodel, sched, os.path.join(cfg.out_dir, "model_quantized.json"))
     payload = {
         "policy": policy.notation,
         "metrics": quality,
@@ -270,19 +267,24 @@ def cmd_quantize(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 def evaluate_models(model, qmodels, sched, prompts, cond_dim: int, n_eval: int, seed: int):
-    """Paired generation: each of ``qmodels`` replays the chain noise of one
-    full-precision batch -> FD, KL, and output MSE per model."""
+    """Paired generation: ``model`` and each of ``qmodels`` replay the same chain noise
+    -> FD, KL, and output MSE per quantized model.  The chains take one reverse pass
+    of all models as one stack, or two when ``model`` quantizes other layers' inputs
+    than ``qmodels``, which all quantize the same layers' inputs."""
     per = max(n_eval // len(prompts.prompts), 1)
     if per * len(prompts.prompts) < 2:
         raise ConfigError(f"n_eval {n_eval} with {len(prompts.prompts)} prompt(s) gives one "
                           "evaluation chain; FD and KL need at least two")
     conds, noise = _chain_rows(prompts, cond_dim, per, nc.RngStream(seed, 60), sched.T,
                                model.data_dim)
-    full = dif.reverse_chains(model, sched, conds, noise)
+    models = [model, *qmodels]
+    layouts = {tuple(lyr.quantizer is None for lyr in m.layers) for m in models}
+    stacks = [models] if len(layouts) == 1 else [models[:1], models[1:]]
+    full, *quants = np.concatenate([dif.reverse_chains(qz.stack_models(s), sched, conds, noise)
+                                    for s in stacks])
     fa = met.fit_gaussian(full)
     out = []
-    for qmodel in qmodels:
-        quant = dif.reverse_chains(qmodel, sched, conds, noise)
+    for quant in quants:
         fb = met.fit_gaussian(quant)
         out.append({
             "fd": met.frechet_distance(fa, fb),
@@ -305,8 +307,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> dict:
     """Weight-only quantization at each bitwidth, no calibration."""
     t0 = time.monotonic()
     model, sched = _require_checkpoint(cfg)
-    aspects = load_aspects(cfg)
-    prompts = load_or_build_prompts(cfg, aspects)
+    prompts = load_or_build_prompts(cfg, load_aspects(cfg))
     seeds = [cfg.seed + i for i in range(cfg.sweep_seeds)]
     policies = ["32WfullA"] + [f"{b}WfullA" for b in cfg.sweep_bits]
     qmodels = [qz.quantize_model(model, qz.PrecisionPolicy.uniform(model.layer_names, pol)).model
@@ -359,8 +360,7 @@ def cmd_compare(cfg: ExperimentConfig) -> dict:
     """Random vs normal vs variance-aware calibration at equal K."""
     t0 = time.monotonic()
     model, sched = _require_checkpoint(cfg)
-    aspects = load_aspects(cfg)
-    prompts = load_or_build_prompts(cfg, aspects)
+    prompts = load_or_build_prompts(cfg, load_aspects(cfg))
     seeds = [cfg.seed + i for i in range(cfg.compare_seeds)]
     profile = pipeline_profile(cfg, model, sched, prompts)
 
@@ -399,18 +399,18 @@ def cmd_scale(cfg: ExperimentConfig) -> dict:
     aspects = load_aspects(cfg)
     eval_prompts = load_or_build_prompts(cfg, aspects)
     seeds = [cfg.seed + i for i in range(cfg.scale_seeds)]
+    calib_prompts = [build_prompt_set_of_size(aspects, n, cfg.seed) for n in cfg.scale_counts]
+
+    def _one(seed):  # one task per seed: every count's model shares its evaluation chains
+        sets = [_calibsets(cfg, model, sched, cp, ("variance_aware",), seed,
+                           _profile_for(model, sched, cp, cfg, seed))[0] for cp in calib_prompts]
+        return _score_sets(cfg, model, sched, eval_prompts, sets, seed)
+
     rows = []
-    for n in cfg.scale_counts:
-        calib_prompts = build_prompt_set_of_size(aspects, n, cfg.seed)
-        covered = cov.global_coverage(calib_prompts)
+    by_seed = _map_seeds(_one, seeds, cfg.jobs)
+    for n, cp, results in zip(cfg.scale_counts, calib_prompts, zip(*by_seed)):
+        covered = cov.global_coverage(cp)
         uncovered = [a.aspect_id for i, a in enumerate(aspects) if not covered[i]]
-
-        def _one(seed, cp=calib_prompts):
-            profile = _profile_for(model, sched, cp, cfg, seed)
-            sets = _calibsets(cfg, model, sched, cp, ("variance_aware",), seed, profile)
-            return _score_sets(cfg, model, sched, eval_prompts, sets, seed)[0]
-
-        results = _map_seeds(_one, seeds, cfg.jobs)
         rows.append((n, float(np.mean([r["fd"] for r in results])), len(uncovered),
                      ";".join(uncovered)))
     art.write_tsv(os.path.join(cfg.out_dir, "scale.tsv"), TABLES["scale"], rows)

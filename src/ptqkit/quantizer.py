@@ -14,6 +14,7 @@ Rounding is half-away-from-zero, frozen for cross-platform determinism.
 import functools
 import re
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,9 +34,14 @@ def grid_bounds(bitwidth: int):
     return -(2 ** (bitwidth - 1)), 2 ** (bitwidth - 1) - 1
 
 
-def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to nearest, ties away from zero (np.round would round ties to even)."""
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+def round_half_away(x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """Round to nearest, ties away from zero (np.round would round ties to even), into
+    ``out`` (``x`` itself may be given): trunc(x + sign(x) / 2), the same bits as
+    sign(x) * floor(|x| + 0.5), -0.0 included, with one temporary."""
+    half = np.sign(x)
+    half *= 0.5
+    out = np.add(x, half, out=half if out is None else out)
+    return np.trunc(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -107,15 +113,22 @@ def fit_params(samples, bitwidth: int, mode: str = "symmetric", method: str = "m
         # unrepresentable; widening to include 0 keeps Z inside the grid
         lo, hi = min(lo, 0.0), max(hi, 0.0)
         scale = (hi - lo) / (hi_grid - lo_grid)
-        zp = int(np.clip(round_half_away(np.array(lo_grid - lo / scale)), lo_grid, hi_grid))
+        zp = int(np.clip(round_half_away(np.array([lo_grid - lo / scale]))[0], lo_grid, hi_grid))
         return QuantParams(scale=scale, zero_point=zp, bitwidth=bitwidth, mode="asymmetric")
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def fake_quant(w: np.ndarray, p: QuantParams) -> np.ndarray:
-    """Quantize-dequantize: the grid code of each value, clipped, back in float64."""
-    codes = np.clip(round_half_away(w / p.scale) + p.zero_point, p.c_min, p.c_max)
-    return p.scale * (codes - p.zero_point)
+def fake_quant(w: np.ndarray, p: QuantParams, out: np.ndarray = None) -> np.ndarray:
+    """Quantize-dequantize: the grid code of each value, clipped, back in float64, computed
+    in ``out`` (``w`` itself may be given; default one new array).  ``p`` may hold a
+    stack's grids, its fields (M, 1, 1) arrays against an (M, rows, n) ``w``."""
+    codes = np.divide(w, p.scale, out=out)
+    round_half_away(codes, out=codes)
+    codes += p.zero_point
+    np.clip(codes, p.c_min, p.c_max, out=codes)
+    codes -= p.zero_point
+    codes *= p.scale
+    return codes
 
 
 _POLICY_RE = re.compile(r"^(full|\d+)W(full|\d+)A$")
@@ -223,6 +236,25 @@ def quantize_model(model: DenoiserModel, policy: PrecisionPolicy, calib=None,
                                    _input_quantizer(ap)))
     qmodel = DenoiserModel(qlayers, model.time_embed_dim, model.cond_embed_dim, model.data_dim)
     return QuantizedModel(qmodel, policy, weight_params, act_params)
+
+
+def stack_models(models) -> DenoiserModel:
+    """One model running ``models`` side by side: layer l's weights (M, n_in, n_out), biases
+    (M, 1, n_out), and one input fake-quant over (M, 1, 1) scales, zero-points and grid
+    bounds.  The models share their shapes and which layers quantize their input."""
+    layers = []
+    for group in zip(*(m.layers for m in models)):
+        if len({lyr.quantizer is None for lyr in group}) > 1:
+            raise ValueError(f"layer {group[0].name}: stacked models must all quantize its input or none")
+        quant = group[0].quantizer and _input_quantizer(SimpleNamespace(**{
+            f: np.array([getattr(lyr.quantizer.keywords["p"], f) for lyr in group],
+                        dtype=np.float64).reshape(-1, 1, 1)
+            for f in ("scale", "zero_point", "c_min", "c_max")}))
+        layers.append(AffineLayer(group[0].name, np.stack([lyr.weight for lyr in group]),
+                                  np.stack([lyr.bias for lyr in group])[:, None],
+                                  group[0].activation, quant))
+    first = models[0]
+    return DenoiserModel(layers, first.time_embed_dim, first.cond_embed_dim, first.data_dim)
 
 
 QUANT_PARAMS_OVERHEAD_BYTES = 8  # one scale (f32) + zero-point/bits record per tensor

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import pathlib
 import tempfile
 
 import numpy as np
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 from ptqkit import cli
 from ptqkit.config import ExperimentConfig, load_config
 from ptqkit.errors import ConfigError
+
+FIXTURE = pathlib.Path(__file__).resolve().parents[1] / "bench" / "fixture"
 
 FAST = {
     "epochs": 25,
@@ -33,6 +36,16 @@ def _write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _diverging_config(tmp_path):
+    """The bench checkpoint with layer1's weights scaled by 1e155: its chains overflow."""
+    doc = json.loads((FIXTURE / "model.json").read_text())
+    layer1 = next(layer for layer in doc["layers"] if layer["name"] == "layer1")
+    layer1["weight"] = (np.array(layer1["weight"]) * 1e155).tolist()
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    return _write_config(tmp_path, checkpoint=str(tmp_path / "model.json"),
+                         prompts_file=str(FIXTURE / "prompts.tsv"))
 
 
 def _sha(path):
@@ -212,6 +225,17 @@ class TestExitCodes:
         cfgfile = _write_config(tmp_path, learning_rate=1e12, epochs=40)
         with pytest.warns(RuntimeWarning):
             assert cli.main(["train", "--config", cfgfile]) == cli.EXIT_NUMERIC
+
+    def test_diverging_chain_is_numeric_error(self, tmp_path, capsys):
+        cfgfile = _diverging_config(tmp_path)
+        for argv in (["quantize", "--policy", "8WfullA"], ["sweep"]):
+            assert cli.main([*argv, "--config", cfgfile]) == cli.EXIT_NUMERIC
+            assert "reverse chains diverged" in capsys.readouterr().err
+
+    def test_failed_quantize_writes_nothing(self, tmp_path):
+        cfgfile = _diverging_config(tmp_path)
+        assert cli.main(["quantize", "--config", cfgfile, "--policy", "8WfullA"]) == cli.EXIT_NUMERIC
+        assert not (tmp_path / "run" / "model_quantized.json").exists()
 
     @pytest.mark.parametrize("damage", ["missing", "torn"])
     def test_missing_or_torn_results_is_config_error(self, tmp_path, capsys, damage):
@@ -394,3 +418,28 @@ class TestCliBehavior:
         first = _sha(os.path.join(run, "summary.tsv"))
         assert cli.main(["report", run]) == cli.EXIT_OK
         assert _sha(os.path.join(run, "summary.tsv")) == first
+
+
+class TestGoldenArtifacts:
+    """The bench fixture's experiment outputs at seed 1, pinned by sha256.  A change
+    meant to keep every artifact byte-identical (a speed-up, a refactor) keeps these;
+    a change that alters results on purpose re-pins them and says why."""
+
+    PINNED = {
+        "calibset.json": "8de4a4c75c34a564b92035f6e265e54ed01769fb60b0e0cfd8e9aca1eb1de061",
+        "calibset_normal_timestep.json": "7fb3dd002dab47318857f686869c67df9b19a143b0e75c3915edd41f88e98c0e",
+        "calibset_random_uniform.json": "8a6c9f79bd87d039b374796d1a94d453248efb7419a89440cd706ce3fa00747c",
+        "calibset_variance_aware.json": "8de4a4c75c34a564b92035f6e265e54ed01769fb60b0e0cfd8e9aca1eb1de061",
+        "compare.tsv": "8b6b7d647348c3923a24123c73fd2d093de1889564a472c0fcfd994265ba2fb8",
+        "sweep.tsv": "e45c34cffc1744eea01acddd8a4285a9ff879ce0b9bf95fb90130f33b34b615d",
+    }
+
+    def test_bench_fixture_artifacts_are_pinned(self, tmp_path):
+        cfgfile = tmp_path / "config.json"
+        cfgfile.write_text(json.dumps({
+            "checkpoint": str(FIXTURE / "model.json"), "prompts_file": str(FIXTURE / "prompts.tsv"),
+            "out_dir": str(tmp_path / "run"), "seed": 1, "compare_seeds": 1, "sweep_seeds": 1}))
+        for argv in (["profile"], ["calibset"], ["quantize", "--policy", "8W8A"], ["compare"],
+                     ["quantize", "--policy", "8WfullA"], ["sweep"]):
+            assert cli.main([*argv, "--config", str(cfgfile)]) == cli.EXIT_OK, argv
+        assert {name: _sha(tmp_path / "run" / name) for name in self.PINNED} == self.PINNED

@@ -158,41 +158,33 @@ class TestForwardDiffuse:
 
 
 class TestDenoiseStep:
+    """The ancestral step, read off reverse_chains: on the same noise, the row that
+    stops at t - 1 is the row that stops at t after the step at t."""
+
+    @staticmethod
+    def _step(model, sched, t):
+        """(x_t, x_{t-1}, the noise the step at t adds, None at t = 1)."""
+        noise = np.repeat(nc.RngStream(3).standard_normal_blocks(sched.T, 2)[:, None], 2, axis=1)
+        x_prev, x_t = dif.reverse_chains(model, sched, np.tile(_cond(), (2, 1)), noise,
+                                         stop=[t - 1, t])
+        return x_t, x_prev, noise[sched.T - t + 1, 0] if t > 1 else None
+
     def test_zero_prediction_final_step_closed_form(self):
         sched = dif.NoiseSchedule.linear_beta(10)
-        model = _zero_predictor()
-        x = np.array([[0.8, -0.3]])
-        state = dif.LatentState(t=1, value=x)
-        out = dif.denoise_step(model, state, _cond(), sched, None)
+        x, x_prev, _ = self._step(_zero_predictor(), sched, 1)
         # with eps_hat = 0 and t = 1: x_prev = x / sqrt(alpha_1), alpha_1 = alpha_bar[0]
-        assert np.allclose(out.value, x / math.sqrt(sched.alpha_bar[0]), atol=1e-12)
-        assert out.t == 0
+        assert np.allclose(x_prev, x / math.sqrt(sched.alpha_bar[0]), atol=1e-12)
 
     def test_intermediate_step_mean_matches_formula(self):
         sched = dif.NoiseSchedule.linear_beta(10)
-        model = _zero_predictor()
-        x = np.array([[1.0, 2.0]])
         t = 5
-        z = nc.RngStream(3).standard_normal(2).reshape(1, 2)
-        out = dif.denoise_step(model, dif.LatentState(t=t, value=x), _cond(), sched, z)
+        x, x_prev, z = self._step(_zero_predictor(), sched, t)
         ab_t, ab_prev = sched.alpha_bar[t - 1], sched.alpha_bar[t - 2]
         alpha_t = ab_t / ab_prev
         beta_t = 1.0 - alpha_t
         var = beta_t * (1.0 - ab_prev) / (1.0 - ab_t)
         expected = x / math.sqrt(alpha_t) + math.sqrt(var) * z
-        assert np.allclose(out.value, expected, atol=1e-12)
-
-    def test_t0_rejected(self):
-        sched = dif.NoiseSchedule.linear_beta(10)
-        with pytest.raises(ValueError):
-            dif.denoise_step(_zero_predictor(), dif.LatentState(t=0, value=np.ones((1, 2))),
-                             _cond(), sched, None)
-
-    def test_t_above_schedule_rejected(self):
-        sched = dif.NoiseSchedule.linear_beta(10)
-        with pytest.raises(ValueError):
-            dif.denoise_step(_zero_predictor(), dif.LatentState(t=11, value=np.ones((1, 2))),
-                             _cond(), sched, np.zeros((1, 2)))
+        assert np.allclose(x_prev, expected, atol=1e-12)
 
 
 class TestGenerate:

@@ -2,8 +2,8 @@
 
 The reference below steps each chain alone with its own ancestral-step
 arithmetic (posterior mean plus sqrt(beta_tilde_t) noise), drawing every
-step's noise from the chain's own stream in sequence, and captures
-calibration samples by replaying each sample's chains separately.  It
+step's noise from the chain's own stream in sequence, runs one model at a time, and
+captures calibration samples by replaying each sample's chains separately.  It
 shares only the model's forward pass with the engine.  The engine must
 reproduce it to within 1e-12; only BLAS summation order may differ.
 """
@@ -111,6 +111,21 @@ def test_evaluate_pair_matches_reference_with_fake_quant(pipeline_cfg, trained, 
     assert got["fd"] > 0.0
     for key in ("fd", "kl", "mse"):
         assert _close(got[key], want[key]), (key, got[key], want[key])
+
+
+def test_stacked_evaluation_matches_reference(pipeline_cfg, trained, prompt_set, calibset):
+    model, sched = trained
+    qmodels = [qz.quantize_model(model, qz.PrecisionPolicy.uniform(model.layer_names, policy),
+                                 calibset, method=method, percentile=99.9).model
+               for policy, method in (("8W8A", "percentile"), ("8W8A", "minmax"),
+                                      ("4W16A", "percentile"))]
+    got = exp.evaluate_models(model, qmodels, sched, prompt_set, pipeline_cfg.cond_embed_dim,
+                              32, 4)
+    for qmodel, res in zip(qmodels, got):
+        want = reference_evaluate_pair(model, qmodel, sched, prompt_set,
+                                       pipeline_cfg.cond_embed_dim, 32, 4)
+        for key in ("fd", "kl", "mse"):
+            assert _close(res[key], want[key]), (key, res[key], want[key])
 
 
 def test_profile_matches_reference(pipeline_cfg, trained, prompt_set):

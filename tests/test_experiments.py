@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from ptqkit import calibration as cal
+from ptqkit import diffusion as dif
 from ptqkit import experiments as exp
 from ptqkit import numeric_core as nc
 from ptqkit import profiler as prof
+from ptqkit import quantizer as qz
 from ptqkit.config import ExperimentConfig
 from ptqkit.errors import ConfigError
 
@@ -29,6 +31,51 @@ class TestEvaluatePair:
                                 pipeline_cfg.cond_embed_dim, 16, seed=5)
         assert res["fd"] == pytest.approx(0.0, abs=1e-9)
         assert res["mse"] == 0.0
+
+
+FIXTURE = pathlib.Path(__file__).resolve().parents[1] / "bench" / "fixture"
+
+
+@pytest.fixture(scope="module")
+def bench_models(tmp_path_factory):
+    """The pinned bench checkpoint at seed 1, with the quantized models ``sweep`` and
+    ``compare`` score: 32/16/8/4-bit weights, and 8W8A from each strategy's set."""
+    cfg = ExperimentConfig(checkpoint=str(FIXTURE / "model.json"), seed=1,
+                           prompts_file=str(FIXTURE / "prompts.tsv"),
+                           out_dir=str(tmp_path_factory.mktemp("bench")))
+    model, sched = exp._require_checkpoint(cfg)
+    prompts = exp.load_or_build_prompts(cfg, exp.load_aspects(cfg))
+    sweep = [qz.quantize_model(model, qz.PrecisionPolicy.uniform(model.layer_names, f"{b}WfullA"))
+             .model for b in (32, 16, 8, 4)]
+    profile = exp._profile_for(model, sched, prompts, cfg, cfg.seed)
+    policy = qz.PrecisionPolicy.uniform(model.layer_names, "8W8A")
+    compare = [qz.quantize_model(model, policy, cs, method=cfg.act_range_method,
+                                 percentile=cfg.act_percentile).model
+               for cs in exp._calibsets(cfg, model, sched, prompts, cal.STRATEGIES, 1, profile)]
+    return cfg, model, sched, prompts, {"sweep": sweep, "compare": compare}
+
+
+@pytest.mark.parametrize("kind", ["sweep", "compare"])
+class TestStackedEvaluation:
+    def test_stack_steps_each_model_bit_for_bit(self, bench_models, kind):
+        cfg, model, sched, prompts, qmodels = bench_models
+        models = [model, *qmodels[kind]] if kind == "sweep" else qmodels[kind]
+        conds, noise = exp._chain_rows(prompts, cfg.cond_embed_dim, 4, nc.RngStream(1, 60),
+                                       sched.T, model.data_dim)
+        stacked = dif.reverse_chains(qz.stack_models(models), sched, conds, noise)
+        alone = [dif.reverse_chains(m, sched, conds, noise) for m in models]
+        assert stacked.tobytes() == np.stack(alone).tobytes()
+
+    def test_evaluate_models_equals_one_at_a_time(self, bench_models, kind, monkeypatch):
+        cfg, model, sched, prompts, qmodels = bench_models
+        args = (sched, prompts, cfg.cond_embed_dim, cfg.n_eval, cfg.seed)
+        one_at_a_time = [exp.evaluate_models(model, [q], *args)[0] for q in qmodels[kind]]
+        engine, stacks = dif.reverse_chains, []
+        monkeypatch.setattr(dif, "reverse_chains",
+                            lambda m, *a, **k: stacks.append(m) or engine(m, *a, **k))
+        assert exp.evaluate_models(model, qmodels[kind], *args) == one_at_a_time
+        # the full-precision reference joins the stack when it quantizes the same inputs
+        assert len(stacks) == (1 if kind == "sweep" else 2)
 
 
 class TestSweep:

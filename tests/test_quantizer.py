@@ -29,6 +29,21 @@ class TestRounding:
     def test_plain_rounding(self):
         assert np.array_equal(qz.round_half_away(np.array([0.4, -0.4, 1.6])), [0, 0, 2])
 
+    EDGES = [0.0, -0.0, 0.49999999999999994, -0.49999999999999994, 5e-324, -5e-324,
+             2.2250738585072014e-308, -2.2250738585072014e-308, 1e300, -1e300,
+             4503599627370495.5, -4503599627370495.5, *(s * (k + 0.5) for k in range(4)
+                                                        for s in (1.0, -1.0))]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False), st.sampled_from(EDGES),
+                              st.integers(-10**6, 10**6).map(lambda k: k + 0.5)), min_size=1))
+    def test_same_bits_as_sign_times_floor(self, xs):
+        x = np.array(xs + self.EDGES)
+        want = np.sign(x) * np.floor(np.abs(x) + 0.5)
+        got = qz.round_half_away(x)
+        assert got.tobytes() == want.tobytes()  # bit for bit: -0.0 and +0.0 differ
+        assert qz.round_half_away(x, out=x) is x and x.tobytes() == want.tobytes()  # in place
+
 
 class TestFitParams:
     def test_symmetric_unit_span(self):
@@ -261,6 +276,15 @@ class TestQuantizedForward:
         for name, _, h in got:  # every offered input already lies on its layer's grid
             assert np.array_equal(qz.fake_quant(h, qmodel.act_params[name]), h)
         assert not np.array_equal(got[0][2], u)
+
+    def test_stack_forward_is_each_models_forward(self, trained, calibset, pipeline_cfg):
+        qmodels = [self._quantized(spec, trained, calibset, pipeline_cfg).model
+                   for spec in ("8W8A", "4W16A")]
+        u = nc.RngStream(109).standard_normal(2 * 16 * 18).reshape(2, 16, 18)
+        want = np.stack([m.forward(x) for m, x in zip(qmodels, u)])
+        assert np.array_equal(qz.stack_models(qmodels).forward(u), want)
+        with pytest.raises(ValueError, match="quantize its input"):
+            qz.stack_models([trained[0], qmodels[0]])
 
 
 class TestSizeAccounting:
